@@ -3,6 +3,7 @@
 use cfs::Cfs;
 use criterion::{criterion_group, criterion_main, Criterion};
 use kernel::{cpu_hog, AppSpec, Kernel, SimConfig, ThreadSpec};
+use sched_api::scx::{ScxSched, VtimePolicy};
 use sched_api::{EnqueueKind, GroupId, Scheduler, Task, TaskState, TaskTable};
 use simcore::{Dur, EventQueue, SimRng, Time};
 use topology::{CpuId, Topology};
@@ -201,6 +202,34 @@ fn bench_balance_tick_256c(c: &mut Criterion) {
     g.finish();
 }
 
+/// The scx adapter's per-hook cost on an idle 512-CPU machine: one task
+/// runs on CPU 0, every CPU takes its balance tick, and CPU 0 cycles its
+/// task through `put_prev_task` / `pick_next_task`.
+fn bench_scx_idle_tick_512c(c: &mut Criterion) {
+    c.bench_function("scx_idle_tick_512c", |b| {
+        let mut scx = ScxSched::new(VtimePolicy::default(), 512);
+        let mut tasks = TaskTable::new();
+        let tid = tasks.insert_with(|t| Task::new(t, "hog".to_string(), GroupId(1)));
+        let cpu0 = CpuId(0);
+        let t = tasks.get_mut(tid);
+        t.cpu = cpu0;
+        t.state = TaskState::Runnable;
+        t.on_rq = true;
+        scx.enqueue_task(&mut tasks, cpu0, tid, EnqueueKind::New, Time::ZERO);
+        scx.pick_next_task(&mut tasks, cpu0, Time::ZERO);
+        let mut targets = Vec::new();
+        let mut t = Time::ZERO;
+        b.iter(|| {
+            t += Dur::millis(1);
+            for cpu in 0..512 {
+                scx.balance_tick(&mut tasks, CpuId(cpu), t, &mut targets);
+            }
+            scx.put_prev_task(&mut tasks, cpu0, tid, t);
+            scx.pick_next_task(&mut tasks, cpu0, t)
+        })
+    });
+}
+
 /// PELT decay math.
 fn bench_pelt(c: &mut Criterion) {
     c.bench_function("pelt_update_1k", |b| {
@@ -326,6 +355,7 @@ criterion_group!(
     bench_event_queue_tick_mix,
     bench_balance_tick,
     bench_balance_tick_256c,
+    bench_scx_idle_tick_512c,
     bench_pelt,
     bench_interactivity,
     bench_busy_second,

@@ -4,16 +4,25 @@
 //! millisecond), and they are perfectly periodic: pushing each one through
 //! the general event queue made the queue do most of its work just to
 //! re-discover "the next tick is one tick after the last one". The
-//! [`TickLane`] keeps the next tick deadline of every CPU in a flat array
-//! instead, and the kernel's event loop merges it with the event queue by
-//! the same `(time, seq)` key the queue orders by.
+//! [`TickLane`] keeps the next tick deadline of every CPU in a min-tree
+//! (tournament tree) instead, and the kernel's event loop merges its root
+//! with the event queue by the same `(time, seq)` key the queue orders by.
+//!
+//! The tree is stored heap-style in one array: the N per-CPU `(deadline,
+//! seq)` keys are its leaves, in the back half, and each of the N − 1
+//! inner nodes holds the smaller of its two children (any N works, not
+//! just powers of two). `peek` reads the root in O(1), and `arm`/`disarm`
+//! replay the matches on one leaf-to-root path in O(log N), stopping early
+//! once a node's winner is unchanged. At 512 CPUs a fired tick therefore
+//! costs two walks of at most nine nodes rather than a rescan of every CPU.
 //!
 //! Determinism: each armed tick reserves a sequence number from the event
 //! queue's counter ([`simcore::EventQueue::alloc_seq`]) at exactly the
 //! point where the old code pushed an `Event::Tick` — so the merged
 //! ordering (and therefore every decision digest) is byte-identical to the
 //! queue-per-tick implementation, including the per-CPU tick stagger and
-//! fault-injected jitter.
+//! fault-injected jitter. Armed keys never tie (seqs are unique), so the
+//! order is time first, then seq.
 
 use simcore::Time;
 use topology::CpuId;
@@ -21,72 +30,79 @@ use topology::CpuId;
 /// Sentinel key for an unarmed CPU; compares after every real deadline.
 const UNARMED: (Time, u64) = (Time::MAX, u64::MAX);
 
-/// The per-CPU next-tick table. See the module docs.
+/// One tree node: the winning `(deadline, seq)` key of its subtree and the
+/// CPU that holds it.
+type Node = (Time, u64, u32);
+
+/// The per-CPU next-tick min-tree. See the module docs.
 #[derive(Debug)]
 pub(crate) struct TickLane {
-    /// `(deadline, seq)` per CPU; [`UNARMED`] while no tick is in flight.
-    next: Vec<(Time, u64)>,
-    /// Cached earliest entry (valid while `!dirty`); refreshed by a full
-    /// scan only after the current minimum fired or was disarmed, i.e.
-    /// once per tick rather than once per event.
-    cached: Option<(Time, u64, u32)>,
-    dirty: bool,
+    /// Heap-ordered nodes: `tree[1]` is the root, `tree[2n]`/`tree[2n + 1]`
+    /// are the children of `n`, and leaf `cpu` sits at `leaves + cpu`.
+    /// `tree[0]` is unused.
+    tree: Vec<Node>,
+    /// Number of leaves (one per CPU).
+    leaves: usize,
 }
 
 impl TickLane {
     /// A lane with every CPU unarmed.
     pub(crate) fn new(ncpu: usize) -> TickLane {
-        TickLane {
-            next: vec![UNARMED; ncpu],
-            cached: None,
-            dirty: false,
+        let leaves = ncpu.max(1);
+        let mut tree = vec![(UNARMED.0, UNARMED.1, 0); 2 * leaves];
+        for (cpu, leaf) in tree[leaves..].iter_mut().enumerate() {
+            leaf.2 = cpu as u32;
         }
+        for n in (1..leaves).rev() {
+            tree[n] = tree[2 * n];
+        }
+        TickLane { tree, leaves }
     }
 
     /// Arm `cpu`'s next tick at `at` with an order key of `seq`. The CPU
     /// must not already be armed.
     pub(crate) fn arm(&mut self, cpu: usize, at: Time, seq: u64) {
-        debug_assert_eq!(self.next[cpu], UNARMED, "tick double-armed");
-        self.next[cpu] = (at, seq);
-        if !self.dirty {
-            match self.cached {
-                Some((t, s, _)) if (t, s) <= (at, seq) => {}
-                _ => self.cached = Some((at, seq, cpu as u32)),
-            }
-        }
+        let leaf = self.leaves + cpu;
+        debug_assert_eq!(
+            (self.tree[leaf].0, self.tree[leaf].1),
+            UNARMED,
+            "tick double-armed"
+        );
+        self.set(leaf, (at, seq));
     }
 
     /// Clear `cpu`'s pending tick (because it fired, or on hotplug-off).
     pub(crate) fn disarm(&mut self, cpu: usize) {
-        self.next[cpu] = UNARMED;
-        if matches!(self.cached, Some((_, _, c)) if c == cpu as u32) {
-            self.cached = None;
-            self.dirty = true;
-        }
+        self.set(self.leaves + cpu, UNARMED);
     }
 
     /// The earliest armed tick, if any, as `(deadline, seq, cpu)`.
-    pub(crate) fn peek(&mut self) -> Option<(Time, u64, CpuId)> {
-        if self.dirty {
-            self.dirty = false;
-            self.cached = None;
-            for (i, &(t, s)) in self.next.iter().enumerate() {
-                if t == Time::MAX {
-                    continue;
-                }
-                match self.cached {
-                    Some((ct, cs, _)) if (ct, cs) <= (t, s) => {}
-                    _ => self.cached = Some((t, s, i as u32)),
-                }
+    pub(crate) fn peek(&self) -> Option<(Time, u64, CpuId)> {
+        let (t, s, c) = self.tree[1];
+        ((t, s) != UNARMED).then_some((t, s, CpuId(c)))
+    }
+
+    /// Store `key` at `leaf` and replay the matches up to the root.
+    fn set(&mut self, leaf: usize, (t, s): (Time, u64)) {
+        self.tree[leaf].0 = t;
+        self.tree[leaf].1 = s;
+        let mut n = leaf / 2;
+        while n > 0 {
+            let (l, r) = (self.tree[2 * n], self.tree[2 * n + 1]);
+            let win = if (r.0, r.1) < (l.0, l.1) { r } else { l };
+            if self.tree[n] == win {
+                break; // ancestors saw this winner already
             }
+            self.tree[n] = win;
+            n /= 2;
         }
-        self.cached.map(|(t, s, c)| (t, s, CpuId(c)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn peek_returns_earliest_by_time_then_seq() {
@@ -104,7 +120,7 @@ mod tests {
     }
 
     #[test]
-    fn rearm_cycles_keep_the_cache_honest() {
+    fn rearm_cycles_keep_the_tree_honest() {
         let mut lane = TickLane::new(2);
         lane.arm(0, Time(10), 0);
         lane.arm(1, Time(11), 1);
@@ -126,5 +142,73 @@ mod tests {
         lane.arm(2, Time(7), 2);
         lane.disarm(1);
         assert_eq!(lane.peek(), Some((Time(5), 0, CpuId(0))));
+    }
+
+    /// One step of a random lane workload.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Arm a CPU (re-arming it if already armed) at a deadline drawn
+        /// from a narrow range, so equal deadlines are common.
+        Arm { cpu: usize, at: u64 },
+        /// Disarm a CPU (a no-op on an unarmed one).
+        Disarm { cpu: usize },
+        /// Fire the earliest tick and re-arm its CPU later, like `on_tick`.
+        Fire { gap: u64 },
+    }
+
+    /// Linear-scan reference lane: the minimum over every armed CPU.
+    fn reference_peek(next: &[Option<(Time, u64)>]) -> Option<(Time, u64, CpuId)> {
+        next.iter()
+            .enumerate()
+            .filter_map(|(cpu, k)| k.map(|(t, s)| (t, s, CpuId(cpu as u32))))
+            .min_by_key(|&(t, s, _)| (t, s))
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (0usize..512, 0u64..8).prop_map(|(cpu, at)| Op::Arm { cpu, at }),
+            2 => (0usize..512).prop_map(|cpu| Op::Disarm { cpu }),
+            3 => (0u64..4).prop_map(|gap| Op::Fire { gap }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lane_matches_linear_scan_reference(
+            size in 0usize..6,
+            ops in prop::collection::vec(op(), 1..400),
+        ) {
+            let ncpu = [1, 2, 3, 31, 64, 512][size];
+            let mut lane = TickLane::new(ncpu);
+            let mut model: Vec<Option<(Time, u64)>> = vec![None; ncpu];
+            let mut seq = 0u64;
+            let mut arm = |lane: &mut TickLane, model: &mut [Option<(Time, u64)>], cpu: usize, at: u64| {
+                if model[cpu].take().is_some() {
+                    lane.disarm(cpu);
+                }
+                lane.arm(cpu, Time(at), seq);
+                model[cpu] = Some((Time(at), seq));
+                seq += 1;
+            };
+            for op in ops {
+                match op {
+                    Op::Arm { cpu, at } => arm(&mut lane, &mut model, cpu % ncpu, at),
+                    Op::Disarm { cpu } => {
+                        lane.disarm(cpu % ncpu);
+                        model[cpu % ncpu] = None;
+                    }
+                    Op::Fire { gap } => {
+                        if let Some((t, _, cpu)) = lane.peek() {
+                            lane.disarm(cpu.index());
+                            model[cpu.index()] = None;
+                            arm(&mut lane, &mut model, cpu.index(), t.0 + gap);
+                        }
+                    }
+                }
+                prop_assert_eq!(lane.peek(), reference_peek(&model));
+            }
+        }
     }
 }

@@ -36,7 +36,7 @@ use crate::task::{Task, TaskTable};
 use crate::weights::{calc_delta_fair, nice_to_weight};
 
 /// Per-CPU occupancy as a policy sees it.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScxCpuState {
     /// `false` while the CPU is hotplugged out; offline CPUs must not be
     /// selected or dispatched from.
@@ -126,6 +126,8 @@ pub trait ScxPolicy {
     /// An idle `cpu` asks where to pull work from (`ops.dispatch`).
     /// Return the victim CPU to steal the head task from, or `None` to
     /// stay idle. The default picks the online CPU with the most waiters.
+    /// The adapter consults `dispatch` only when some dispatch queue holds
+    /// a waiter: with every queue empty there is nothing to steal.
     fn dispatch(&mut self, ctx: &ScxCtx<'_>, cpu: CpuId, stats: &mut SelectStats) -> Option<CpuId> {
         let mut busiest: Option<(CpuId, usize)> = None;
         for (i, st) in ctx.cpus.iter().enumerate() {
@@ -181,46 +183,26 @@ pub struct ScxSched<P> {
     slots: Vec<Option<Slot>>,
     /// Arrival tie-breaker, monotonically increasing.
     seq: u64,
-    /// Scratch for building [`ScxCtx`] without per-call allocation.
-    cpu_scratch: Vec<ScxCpuState>,
+    /// The per-CPU view policies see through [`ScxCtx::cpus`], kept in
+    /// step with `qs`, `curr` and `online` by [`ScxSched::sync`] at every
+    /// change, so a hook borrows it instead of rebuilding it.
+    cpu_view: Vec<ScxCpuState>,
+    /// CPUs whose dispatch queue holds at least one waiter.
+    nonempty: usize,
     /// Set when the policy's `select_cpu` returned an offline or
     /// affinity-disallowed CPU and the framework had to rewrite the pick;
     /// surfaced as a policy bug by the strict-mode audit.
     bad_pick: Option<(Tid, CpuId)>,
 }
 
-/// Fill `out` with the per-CPU occupancy view (free function so callers can
-/// split borrows between the context and the policy).
-fn fill_cpu_states(
-    qs: &[BTreeSet<(u64, u64, Tid)>],
-    curr: &[Option<Tid>],
-    online: &CpuMask,
-    out: &mut Vec<ScxCpuState>,
-) {
-    out.clear();
-    for i in 0..qs.len() {
-        out.push(ScxCpuState {
-            online: online.contains(CpuId(i as u32)),
-            nr_waiting: qs[i].len(),
-            running: curr[i].is_some(),
-        });
-    }
-}
-
-/// Run `f(policy, ctx)` with a freshly built context. A macro rather than a
-/// method so the disjoint field borrows (`policy` mutable, queue state
+/// Run `f(policy, ctx)` against the maintained CPU view. A macro rather
+/// than a method so the disjoint field borrows (`policy` mutable, the view
 /// shared) survive the borrow checker.
 macro_rules! with_ctx {
     ($self:ident, $tasks:expr, $now:expr, |$policy:ident, $ctx:ident| $body:expr) => {{
-        fill_cpu_states(
-            &$self.qs,
-            &$self.curr,
-            &$self.online,
-            &mut $self.cpu_scratch,
-        );
         let $ctx = ScxCtx {
             tasks: $tasks,
-            cpus: &$self.cpu_scratch,
+            cpus: &$self.cpu_view,
             now: $now,
         };
         let $policy = &mut $self.policy;
@@ -239,7 +221,14 @@ impl<P: ScxPolicy> ScxSched<P> {
             online: CpuMask::first_n(nr_cpus),
             slots: Vec::new(),
             seq: 0,
-            cpu_scratch: Vec::new(),
+            cpu_view: vec![
+                ScxCpuState {
+                    online: true,
+                    ..ScxCpuState::default()
+                };
+                nr_cpus
+            ],
+            nonempty: 0,
             bad_pick: None,
         }
     }
@@ -251,6 +240,24 @@ impl<P: ScxPolicy> ScxSched<P> {
         &mut self.slots[tid.index()]
     }
 
+    /// What `cpu`'s view entry should say, recomputed from the queue state.
+    fn observe(&self, cpu: usize) -> ScxCpuState {
+        ScxCpuState {
+            online: self.online.contains(CpuId(cpu as u32)),
+            nr_waiting: self.qs[cpu].len(),
+            running: self.curr[cpu].is_some(),
+        }
+    }
+
+    /// Bring `cpu`'s view entry and the non-empty-queue count up to date
+    /// after its queue, current task or online bit changed.
+    fn sync(&mut self, cpu: usize) {
+        let was = self.cpu_view[cpu].nr_waiting > 0;
+        self.cpu_view[cpu] = self.observe(cpu);
+        let is = self.cpu_view[cpu].nr_waiting > 0;
+        self.nonempty = self.nonempty + usize::from(is) - usize::from(was);
+    }
+
     /// Insert `tid` on `cpu` under `key`, recording its slot.
     fn push(&mut self, cpu: CpuId, tid: Tid, key: u64) {
         let seq = self.seq;
@@ -258,6 +265,7 @@ impl<P: ScxPolicy> ScxSched<P> {
         let fresh = self.qs[cpu.index()].insert((key, seq, tid));
         debug_assert!(fresh, "{tid} already queued");
         *self.slot_mut(tid) = Some(Slot { cpu, key, seq });
+        self.sync(cpu.index());
     }
 
     /// Remove a queued `tid` via its slot. Returns `false` if it was not
@@ -268,12 +276,14 @@ impl<P: ScxPolicy> ScxSched<P> {
         };
         let had = self.qs[slot.cpu.index()].remove(&(slot.key, slot.seq, tid));
         debug_assert!(had, "{tid} slot points at a missing queue entry");
+        self.sync(slot.cpu.index());
         had
     }
 
     /// The running task on `cpu` stops; fire the policy's stopping hook.
     fn stop_curr(&mut self, tasks: &TaskTable, cpu: CpuId, now: Time) -> Option<Tid> {
         let tid = self.curr[cpu.index()].take()?;
+        self.sync(cpu.index());
         let ran = now.saturating_since(self.run_start[cpu.index()]);
         with_ctx!(self, tasks, now, |policy, ctx| policy
             .stopping(&ctx, tid, ran));
@@ -375,6 +385,7 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         let (_, _, tid) = self.qs[cpu.index()].pop_first()?;
         self.slots[tid.index()] = None;
         self.curr[cpu.index()] = Some(tid);
+        self.sync(cpu.index());
         self.run_start[cpu.index()] = now;
         with_ctx!(self, tasks, now, |policy, ctx| policy.running(&ctx, tid));
         Some(tid)
@@ -437,7 +448,8 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         now: Time,
         stats: &mut SelectStats,
     ) -> bool {
-        if !self.online.contains(cpu) {
+        // With every queue empty the victim's is too: skip the policy.
+        if self.nonempty == 0 || !self.online.contains(cpu) {
             return false;
         }
         let Some(victim) = with_ctx!(self, tasks, now, |policy, ctx| policy
@@ -458,6 +470,8 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         };
         self.qs[victim.index()].remove(&(key, seq, tid));
         self.qs[cpu.index()].insert((key, seq, tid));
+        self.sync(victim.index());
+        self.sync(cpu.index());
         *self.slot_mut(tid) = Some(Slot { cpu, key, seq });
         tasks.get_mut(tid).cpu = cpu;
         true
@@ -490,6 +504,23 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
                 "policy picked offline or disallowed {bad:?} for {tid} \
                  (framework rewrote the placement)"
             ));
+        }
+        let seen = self.observe(cpu.index());
+        if self.cpu_view[cpu.index()] != seen {
+            return Err(format!(
+                "scx view of {cpu:?} is {:?}, queue state says {seen:?}",
+                self.cpu_view[cpu.index()]
+            ));
+        }
+        // The recount is O(cores); doing it for one CPU keeps a sweep O(N).
+        if cpu.index() == 0 {
+            let recount = self.qs.iter().filter(|q| !q.is_empty()).count();
+            if self.nonempty != recount {
+                return Err(format!(
+                    "scx counts {} non-empty queues, recount finds {recount}",
+                    self.nonempty
+                ));
+            }
         }
         let rq = &self.qs[cpu.index()];
         for &(key, seq, tid) in rq.iter() {
@@ -532,10 +563,12 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
 
     fn cpu_offline(&mut self, cpu: CpuId) {
         self.online.clear(cpu);
+        self.sync(cpu.index());
     }
 
     fn cpu_online(&mut self, cpu: CpuId) {
         self.online.set(cpu);
+        self.sync(cpu.index());
     }
 }
 
@@ -862,6 +895,118 @@ mod tests {
         // The stolen task is the queue head: first arrival.
         assert_eq!(s.queued_tids(CpuId(1)), vec![tids[0]]);
         audit_all(&mut s, &t, 2, Time::ZERO);
+    }
+
+    #[test]
+    fn maintained_view_survives_hotplug_steals_and_yields() {
+        let (mut t, tids) = table_with(5);
+        let mut s = ScxSched::new(FifoPolicy, 3);
+        let now = Time::ZERO;
+        for &tid in &tids {
+            s.enqueue_task(&mut t, CpuId(0), tid, EnqueueKind::New, now);
+        }
+        s.pick_next_task(&mut t, CpuId(0), now).unwrap();
+        s.cpu_offline(CpuId(2));
+        audit_all(&mut s, &t, 3, now);
+        let mut stats = SelectStats::default();
+        assert!(s.idle_balance(&mut t, CpuId(1), now, &mut stats));
+        assert!(
+            !s.idle_balance(&mut t, CpuId(2), now, &mut stats),
+            "offline"
+        );
+        audit_all(&mut s, &t, 3, now);
+        s.pick_next_task(&mut t, CpuId(1), now).unwrap();
+        s.yield_task(&mut t, CpuId(1), now);
+        s.yield_task(&mut t, CpuId(0), now);
+        audit_all(&mut s, &t, 3, now);
+        s.cpu_online(CpuId(2));
+        assert!(s.idle_balance(&mut t, CpuId(2), now, &mut stats));
+        audit_all(&mut s, &t, 3, now);
+        assert_eq!(
+            s.cpu_view[2],
+            ScxCpuState {
+                online: true,
+                nr_waiting: 1,
+                running: false
+            }
+        );
+        // A running task goes to sleep; then every queue drains. The view
+        // and the count follow.
+        let tid = s.pick_next_task(&mut t, CpuId(0), now).unwrap();
+        s.dequeue_task(&mut t, CpuId(0), tid, DequeueKind::Sleep, now);
+        audit_all(&mut s, &t, 3, now);
+        for cpu in 0..3 {
+            for tid in s.queued_tids(CpuId(cpu)) {
+                s.dequeue_task(&mut t, CpuId(cpu), tid, DequeueKind::Sleep, now);
+            }
+        }
+        audit_all(&mut s, &t, 3, now);
+        assert_eq!(s.nonempty, 0);
+        // The audit catches a view or a count that drifted.
+        s.cpu_view[1].nr_waiting += 1;
+        assert!(s.audit(&t, CpuId(1), now).is_err());
+        s.cpu_view[1].nr_waiting -= 1;
+        s.nonempty += 1;
+        assert!(s.audit(&t, CpuId(0), now).is_err());
+    }
+
+    /// FIFO with a tally of how often the adapter consults `dispatch`.
+    #[derive(Default)]
+    struct CountingPolicy {
+        dispatches: usize,
+    }
+
+    impl ScxPolicy for CountingPolicy {
+        fn name(&self) -> &'static str {
+            "scx-counting"
+        }
+
+        fn select_cpu(
+            &mut self,
+            ctx: &ScxCtx<'_>,
+            tid: Tid,
+            prev_cpu: CpuId,
+            stats: &mut SelectStats,
+        ) -> CpuId {
+            FifoPolicy.select_cpu(ctx, tid, prev_cpu, stats)
+        }
+
+        fn enqueue(&mut self, _ctx: &ScxCtx<'_>, _tid: Tid, _kind: EnqueueKind) -> u64 {
+            0
+        }
+
+        fn dispatch(
+            &mut self,
+            ctx: &ScxCtx<'_>,
+            cpu: CpuId,
+            stats: &mut SelectStats,
+        ) -> Option<CpuId> {
+            self.dispatches += 1;
+            FifoPolicy.dispatch(ctx, cpu, stats)
+        }
+    }
+
+    #[test]
+    fn dispatch_is_skipped_while_every_queue_is_empty() {
+        let (mut t, tids) = table_with(2);
+        let mut s = ScxSched::new(CountingPolicy::default(), 4);
+        let now = Time::ZERO;
+        // One task running on CPU 0, nothing waiting anywhere.
+        s.enqueue_task(&mut t, CpuId(0), tids[0], EnqueueKind::New, now);
+        s.pick_next_task(&mut t, CpuId(0), now).unwrap();
+        let mut targets = Vec::new();
+        for cpu in 0..4 {
+            s.balance_tick(&mut t, CpuId(cpu), now, &mut targets);
+        }
+        let mut stats = SelectStats::default();
+        assert!(!s.idle_balance(&mut t, CpuId(1), now, &mut stats));
+        assert!(targets.is_empty());
+        assert_eq!(s.policy.dispatches, 0, "no waiter, no dispatch");
+        // A waiter appears: the next idle CPU asks the policy and steals it.
+        s.enqueue_task(&mut t, CpuId(0), tids[1], EnqueueKind::New, now);
+        assert!(s.idle_balance(&mut t, CpuId(1), now, &mut stats));
+        assert_eq!(s.policy.dispatches, 1);
+        audit_all(&mut s, &t, 4, now);
     }
 
     #[test]
