@@ -68,42 +68,35 @@ fn bench_event_queue(c: &mut Criterion) {
 /// The tick-dominated mix the kernel actually produces: 48 staggered
 /// per-CPU tick chains re-armed on every pop, plus a short-lived
 /// completion event per tick with half of them cancelled before firing.
-/// Runs on both backends so a regression in either shows up side by side
-/// (the wheel is the default; the heap is the differential fallback).
 fn bench_event_queue_tick_mix(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue_tick_mix");
-    for (name, backend) in [
-        ("wheel", simcore::Backend::Wheel),
-        ("heap", simcore::Backend::Heap),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                const NCPU: u64 = 48;
-                let mut q = EventQueue::with_backend(backend);
-                for cpu in 0..NCPU {
-                    q.push(Time(1_000_000 + cpu * 21_000), cpu);
-                }
-                let mut last = None;
-                let mut acc = 0u64;
-                for n in 0..20_000u64 {
-                    let Some((at, who)) = q.pop() else {
-                        unreachable!("tick chains never drain")
-                    };
-                    acc = acc.wrapping_add(at.0 ^ who);
-                    if who < NCPU {
-                        q.push(at + Dur::millis(1), who);
-                        let id = q.push(at + Dur::micros(37), NCPU + n);
-                        if let Some(prev) = last.replace(id) {
-                            if n % 2 == 0 {
-                                q.cancel(prev);
-                            }
+    g.bench_function("wheel", |b| {
+        b.iter(|| {
+            const NCPU: u64 = 48;
+            let mut q = EventQueue::new();
+            for cpu in 0..NCPU {
+                q.push(Time(1_000_000 + cpu * 21_000), cpu);
+            }
+            let mut last = None;
+            let mut acc = 0u64;
+            for n in 0..20_000u64 {
+                let Some((at, who)) = q.pop() else {
+                    unreachable!("tick chains never drain")
+                };
+                acc = acc.wrapping_add(at.0 ^ who);
+                if who < NCPU {
+                    q.push(at + Dur::millis(1), who);
+                    let id = q.push(at + Dur::micros(37), NCPU + n);
+                    if let Some(prev) = last.replace(id) {
+                        if n % 2 == 0 {
+                            q.cancel(prev);
                         }
                     }
                 }
-                acc
-            })
-        });
-    }
+            }
+            acc
+        })
+    });
     g.finish();
 }
 

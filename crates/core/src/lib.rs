@@ -43,7 +43,7 @@ pub enum Machine {
     /// `n` cores sharing one LLC.
     Flat(u32),
     /// Any explicit topology.
-    Custom(Topology),
+    Custom(Box<Topology>),
 }
 
 impl Machine {
@@ -54,7 +54,7 @@ impl Machine {
             Machine::Opteron6172 => Topology::opteron_6172(),
             Machine::CoreI7_3770 => Topology::core_i7_3770(),
             Machine::Flat(n) => Topology::flat(*n),
-            Machine::Custom(t) => t.clone(),
+            Machine::Custom(t) => (**t).clone(),
         }
     }
 }

@@ -84,7 +84,7 @@ pub fn run(cfg: &RunCfg) -> BenchReport {
     let mut results = Vec::new();
     for sched in Sched::BOTH {
         let topo = Topology::opteron_6172();
-        let mut k = make_kernel(&topo, sched, cfg.seed);
+        let mut k = make_kernel(&topo, sched, cfg.seed, cfg.check);
         let threads = (0..64)
             .map(|i| ThreadSpec::new(format!("w{i}"), cpu_hog(Dur::secs(60), Dur::millis(3))))
             .collect();
@@ -122,7 +122,7 @@ fn latency_probe(cfg: &RunCfg) -> Vec<LatencyProbe> {
     let scale = cfg.scale.clamp(0.02, 0.2);
     let probe_cfg = RunCfg {
         scale,
-        seed: cfg.seed,
+        ..cfg.clone()
     };
     Sched::BOTH
         .iter()

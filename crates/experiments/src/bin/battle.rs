@@ -46,7 +46,7 @@ use std::io::Write;
 
 use experiments::{
     ablations, bench, chaos, desktop, fig1, fig2, fig34, fig5, fig6, fig7, fig8, fig9, fuzz,
-    golden, runner, scenarios, scope, table1, table2, RunCfg, Sched,
+    golden, scenarios, scope, table1, table2, RunCfg, Sched,
 };
 use kernel::CheckMode;
 
@@ -127,11 +127,11 @@ fn parse_args() -> Result<Args, String> {
             "--compare" => compare = Some(args.next().ok_or("missing value for --compare")?),
             "--check" => {
                 let v = args.next().ok_or("missing value for --check")?;
-                match v.as_str() {
-                    "strict" => experiments::set_check_mode(CheckMode::Strict),
-                    "off" => experiments::set_check_mode(CheckMode::Off),
+                cfg.check = match v.as_str() {
+                    "strict" => CheckMode::Strict,
+                    "off" => CheckMode::Off,
                     other => return Err(format!("bad --check: {other} (strict|off)")),
-                }
+                };
             }
             "--cases" => {
                 let v = args.next().ok_or("missing value for --cases")?;
@@ -192,11 +192,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--threads" => {
                 let v = args.next().ok_or("missing value for --threads")?;
-                let n: usize = v.parse().map_err(|e| format!("bad --threads: {e}"))?;
-                if n == 0 {
+                cfg.threads = v.parse().map_err(|e| format!("bad --threads: {e}"))?;
+                if cfg.threads == 0 {
                     return Err("--threads must be at least 1".to_string());
                 }
-                runner::set_threads(n);
             }
             "--json" => json = Some(args.next().ok_or("missing value for --json")?),
             other if experiment == "trace" && !other.starts_with('-') && trace_fig.is_none() => {
@@ -215,6 +214,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     fz.seed = cfg.seed;
+    fz.threads = cfg.threads;
     Ok(Args {
         experiment,
         cfg,
@@ -552,8 +552,7 @@ fn main() {
         }
         let tc = experiments::tune::TuneCfg {
             budget: args.budget,
-            seed: args.cfg.seed,
-            scale: args.cfg.scale,
+            run: args.cfg.clone(),
             scheds,
             write: args.write,
             out_dir: "results/tuned".into(),
@@ -582,9 +581,9 @@ fn main() {
     }
     if args.experiment == "golden" {
         ok = if args.write {
-            golden::write_all()
+            golden::write_all(&args.cfg)
         } else {
-            golden::check_all()
+            golden::check_all(&args.cfg)
         };
         std::io::stdout().flush().ok();
         if !ok {

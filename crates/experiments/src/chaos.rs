@@ -21,12 +21,12 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use kernel::{from_fn, Action, AppSpec, CancelToken, RunBudget, SimError, ThreadSpec};
+use kernel::{from_fn, Action, AppSpec, CancelToken, CheckMode, RunBudget, SimError, ThreadSpec};
 use scenario::{AbortKind, EngineError, EngineOpts, Scenario, Sched};
 use simcore::{Dur, SimRng, Time};
 use topology::Topology;
 
-use crate::{check_mode, crash::Crash, runner, scenarios, RunCfg};
+use crate::{crash::Crash, runner, scenarios, RunCfg};
 
 /// Outcome class of one chaos case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -81,10 +81,9 @@ pub struct Case {
 /// Campaign configuration.
 #[derive(Debug, Clone)]
 pub struct ChaosCfg {
-    /// Work-volume scale for the scenario runs.
-    pub scale: f64,
-    /// Base seed (drives the randomized budget plans).
-    pub seed: u64,
+    /// Scale, base seed (which also drives the randomized budget plans),
+    /// check mode and worker count of the campaign.
+    pub run: RunCfg,
     /// Extra randomized tight-budget plans per (scenario, sched) pair.
     pub plans: u32,
 }
@@ -92,8 +91,7 @@ pub struct ChaosCfg {
 impl Default for ChaosCfg {
     fn default() -> Self {
         ChaosCfg {
-            scale: 0.02,
-            seed: 42,
+            run: RunCfg::at_scale(0.02),
             plans: 1,
         }
     }
@@ -213,7 +211,7 @@ fn budget_events(max_events: u64) -> RunBudget {
 /// The deterministic failure probes: one case per abnormal class, built on
 /// bare kernels so the class is guaranteed whatever the scenario corpus
 /// looks like.
-fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
+fn probes(seed: u64, check: CheckMode) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
     let mk = |name: &str| Case {
         name: format!("probe-{name}"),
         plan: "probe".into(),
@@ -231,7 +229,7 @@ fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // forever; the stall watchdog must catch it.
         Box::new(move || {
             let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed);
+            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed, check);
             k.set_watchdog(2_000, 0);
             k.queue_app(
                 Time::ZERO,
@@ -260,7 +258,7 @@ fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // so it must produce a crash bundle (the Crashed class).
         Box::new(move || {
             let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed);
+            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed, check);
             // Watchdog off: the instant-action guard must be what fires.
             k.set_watchdog(0, 0);
             k.queue_app(
@@ -290,7 +288,7 @@ fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // deterministic.
         Box::new(move || {
             let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed);
+            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed, check);
             let token = CancelToken::new();
             token.cancel();
             k.set_cancel_token(token);
@@ -330,7 +328,12 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
 
     // Stage 1: unsupervised control runs, in parallel. Their digests and
     // event counts calibrate every supervised plan below.
-    let (scale, seed, check) = (cfg.scale, cfg.seed, check_mode());
+    let RunCfg {
+        scale,
+        seed,
+        check,
+        threads,
+    } = cfg.run;
     let mk_opts = move |budget: RunBudget| EngineOpts {
         scale,
         seed,
@@ -340,7 +343,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
         cancel: None,
         params: None,
     };
-    let controls: Vec<Case> = runner::par_map(pairs.clone(), |(i, sched)| {
+    let controls = runner::unwrap_all(runner::par_map(threads, pairs.clone(), |(i, sched)| {
         let (_, sc) = &corpus[i];
         run_plan(
             sc,
@@ -349,7 +352,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
             &format!("{}-{}-control", sc.name, sched.name()),
             "control",
         )
-    });
+    }));
 
     // Stage 2: the supervised sweep — per pair, a generously guarded run
     // (digest must match control), a budget-killed run, and `plans`
@@ -390,7 +393,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
                 )
             }));
         }
-        let mut rng = SimRng::new(cfg.seed ^ (pair_idx as u64).wrapping_mul(0x9E37_79B9));
+        let mut rng = SimRng::new(seed ^ (pair_idx as u64).wrapping_mul(0x9E37_79B9));
         for p in 0..cfg.plans {
             let (name, sc) = (name.clone(), sc.clone());
             // Randomized plan: anywhere from "kills early" to "never
@@ -410,8 +413,8 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
             }));
         }
     }
-    jobs.extend(probes(cfg.seed));
-    let outcomes = runner::run_all_supervised(jobs);
+    jobs.extend(probes(seed, check));
+    let outcomes = runner::par_map(threads, jobs, |job| job());
 
     // Stage 3: classify, count, and cross-check against the controls.
     let mut cases = controls;
@@ -561,16 +564,15 @@ pub fn cli(paths: &[String], cfg: &RunCfg, plans: u32, json: &Option<String>) ->
         }
     };
     let ccfg = ChaosCfg {
-        scale: cfg.scale,
-        seed: cfg.seed,
+        run: cfg.clone(),
         plans,
     };
     println!(
         "chaos: {} scenario(s) at scale {} seed {} ({} random plan(s) per pair)\n",
         corpus.len(),
-        ccfg.scale,
-        ccfg.seed,
-        ccfg.plans
+        cfg.scale,
+        cfg.seed,
+        plans
     );
     let r = run(&corpus, &ccfg);
     print!("{}", report(&r));

@@ -43,7 +43,7 @@ pub struct Fig1Run {
 /// Run the experiment under one scheduler.
 pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
     let topo = topology::Topology::single_core();
-    let mut k = make_kernel(&topo, sched, cfg.seed);
+    let mut k = make_kernel(&topo, sched, cfg.seed, cfg.check);
 
     let fibo_work = Dur::secs_f64(160.0 * cfg.scale);
     let fibo = k.queue_app(Time::ZERO, synthetic::fibo(fibo_work));
@@ -129,7 +129,9 @@ pub struct Fig1 {
 
 /// Run both schedulers (in parallel when the runner pool allows).
 pub fn run_both(cfg: &RunCfg) -> Fig1 {
-    let (cfs, ule) = crate::runner::join(|| run(Sched::Cfs, cfg), || run(Sched::Ule, cfg));
+    let runs = crate::runner::par_map(cfg.threads, vec![Sched::Cfs, Sched::Ule], |s| run(s, cfg));
+    let [cfs, ule] =
+        <[_; 2]>::try_from(crate::runner::unwrap_all(runs)).expect("one run per scheduler");
     Fig1 { cfs, ule }
 }
 

@@ -54,9 +54,9 @@ pub fn run_on(
         .chain(extra.iter())
         .flat_map(|e| Sched::BOTH.into_iter().map(move |s| (e, s)))
         .collect();
-    let results = runner::par_map(sims, |(entry, sched)| {
+    let results = runner::unwrap_all(runner::par_map(cfg.threads, sims, |(entry, sched)| {
         run_entry(entry, sched, topo, cfg, with_noise)
-    });
+    }));
     let rows = results
         .chunks_exact(2)
         .map(|pair| {

@@ -43,7 +43,7 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig6Run {
     let topo = Topology::opteron_6172();
     let ncpu = topo.nr_cpus();
     let nthreads = ((512.0 * cfg.scale).round() as usize).max(2 * ncpu);
-    let mut k = make_kernel(&topo, sched, cfg.seed);
+    let mut k = make_kernel(&topo, sched, cfg.seed, cfg.check);
     let app = k.queue_app(Time::ZERO, pinned_spinners(nthreads));
     let unpin_at = Time::ZERO + Dur::secs_f64(14.5 * cfg.scale.max(0.05));
     k.queue_unpin(unpin_at, app);
@@ -108,7 +108,9 @@ pub struct Fig6 {
 
 /// Run both schedulers (in parallel when the runner pool allows).
 pub fn run_both(cfg: &RunCfg) -> Fig6 {
-    let (ule, cfs) = crate::runner::join(|| run(Sched::Ule, cfg), || run(Sched::Cfs, cfg));
+    let runs = crate::runner::par_map(cfg.threads, vec![Sched::Ule, Sched::Cfs], |s| run(s, cfg));
+    let [ule, cfs] =
+        <[_; 2]>::try_from(crate::runner::unwrap_all(runs)).expect("one run per scheduler");
     Fig6 { ule, cfs }
 }
 

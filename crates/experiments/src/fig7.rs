@@ -32,7 +32,7 @@ pub struct Fig7Run {
 pub fn run(sched: Sched, cfg: &RunCfg) -> Fig7Run {
     let topo = Topology::opteron_6172();
     let ncpu = topo.nr_cpus();
-    let mut k = make_kernel(&topo, sched, cfg.seed);
+    let mut k = make_kernel(&topo, sched, cfg.seed, cfg.check);
     // The interactive/batch split depends on the absolute CPU time the
     // master burns while forking, so the thread count stays at the paper's
     // 512; `scale` shrinks only the per-thread render work.
@@ -96,7 +96,9 @@ pub struct Fig7 {
 
 /// Run both schedulers (in parallel when the runner pool allows).
 pub fn run_both(cfg: &RunCfg) -> Fig7 {
-    let (ule, cfs) = crate::runner::join(|| run(Sched::Ule, cfg), || run(Sched::Cfs, cfg));
+    let runs = crate::runner::par_map(cfg.threads, vec![Sched::Ule, Sched::Cfs], |s| run(s, cfg));
+    let [ule, cfs] =
+        <[_; 2]>::try_from(crate::runner::unwrap_all(runs)).expect("one run per scheduler");
     Fig7 { ule, cfs }
 }
 

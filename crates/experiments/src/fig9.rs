@@ -57,7 +57,7 @@ fn find_entry(name: &str) -> Entry {
 
 /// Run one (pair, scheduler) configuration; returns perf of (a, b).
 fn run_pair(a: &Entry, b: &Entry, sched: Sched, topo: &Topology, cfg: &RunCfg) -> (f64, f64) {
-    let mut k = make_kernel(topo, sched, cfg.seed);
+    let mut k = make_kernel(topo, sched, cfg.seed, cfg.check);
     let p = P::scaled(topo.nr_cpus(), cfg.scale);
     let sa = (a.build)(&mut k, &p);
     let ia = k.queue_app(Time::ZERO, sa);
@@ -97,7 +97,7 @@ pub fn run(cfg: &RunCfg) -> Fig9 {
     let jobs: Vec<(usize, Sim)> = (0..PAIRS.len())
         .flat_map(|pi| SIMS.into_iter().map(move |s| (pi, s)))
         .collect();
-    let results = crate::runner::par_map(jobs, |(pi, sim)| {
+    let results = crate::runner::par_map(cfg.threads, jobs, |(pi, sim)| {
         let (an, bn, _) = PAIRS[pi];
         let a = find_entry(an);
         let b = find_entry(bn);
@@ -107,6 +107,7 @@ pub fn run(cfg: &RunCfg) -> Fig9 {
             Sim::Together(s) => run_pair(&a, &b, s, &topo, cfg),
         }
     });
+    let results = crate::runner::unwrap_all(results);
 
     let mut cells = Vec::new();
     for (pi, (an, bn, category)) in PAIRS.into_iter().enumerate() {

@@ -55,6 +55,9 @@ pub struct FuzzCfg {
     /// cooperatively cancelled and reported, without failing the
     /// campaign, since wall-clock cancellation is host-dependent).
     pub case_timeout_s: f64,
+    /// Simulation worker-pool size (`--threads`); the report is identical
+    /// whatever the value.
+    pub threads: usize,
 }
 
 impl Default for FuzzCfg {
@@ -67,6 +70,7 @@ impl Default for FuzzCfg {
             parts: PART_ALL,
             case_seed: None,
             case_timeout_s: 120.0,
+            threads: crate::RunCfg::default().threads,
         }
     }
 }
@@ -361,7 +365,7 @@ pub fn run(cfg: &FuzzCfg) -> FuzzReport {
     let faults = cfg.faults;
     let parts = cfg.parts;
     let timeout_s = cfg.case_timeout_s;
-    let outcomes = runner::par_map(seeds, move |cs| {
+    let outcomes = runner::par_map(cfg.threads, seeds, move |cs| {
         // One wall-clock deadline per case: slow hosts abort the case
         // cooperatively instead of wedging the campaign.
         let token = CancelToken::with_deadline(std::time::Duration::from_secs_f64(timeout_s));
@@ -411,6 +415,7 @@ pub fn run(cfg: &FuzzCfg) -> FuzzReport {
         }
         (events, spurious, hotplug, cancelled, failures)
     });
+    let outcomes = runner::unwrap_all(outcomes);
 
     let mut report = FuzzReport {
         cases: seeds_len(cfg),

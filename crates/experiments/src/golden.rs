@@ -129,10 +129,11 @@ fn fold(digests: impl Iterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-fn compute(entry: &Entry) -> EntryDigests {
+fn compute(entry: &Entry, run: &RunCfg) -> EntryDigests {
     let cfg = RunCfg {
         scale: entry.scale,
         seed: SEED,
+        ..run.clone()
     };
     let mut out = EntryDigests {
         name: entry.name.to_string(),
@@ -204,9 +205,12 @@ fn compute(entry: &Entry) -> EntryDigests {
     out
 }
 
-/// Run the whole manifest (parallel across entries).
-pub fn compute_all() -> Vec<EntryDigests> {
-    runner::par_map(manifest(), |e| compute(&e))
+/// Run the whole manifest (parallel across entries). `run` supplies the
+/// worker count and check mode; scale and seed come from the manifest.
+pub fn compute_all(run: &RunCfg) -> Vec<EntryDigests> {
+    runner::unwrap_all(runner::par_map(run.threads, manifest(), |e| {
+        compute(&e, run)
+    }))
 }
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -241,9 +245,9 @@ fn parse_file(src: &str) -> Vec<(String, u64)> {
 
 /// Write every manifest digest to `results/golden/`. Returns `false` on
 /// I/O failure or if any entry errored.
-pub fn write_all() -> bool {
+pub fn write_all(run: &RunCfg) -> bool {
     let entries = manifest();
-    let digests = compute_all();
+    let digests = compute_all(run);
     let mut ok = true;
     if let Err(e) = std::fs::create_dir_all(std::path::Path::new("results").join("golden")) {
         eprintln!("cannot create results/golden: {e}");
@@ -290,9 +294,9 @@ pub fn write_all() -> bool {
 
 /// Re-run the manifest and diff against the committed golden files,
 /// printing a side-by-side report. Returns `false` on any divergence.
-pub fn check_all() -> bool {
+pub fn check_all(run: &RunCfg) -> bool {
     let entries = manifest();
-    let digests = compute_all();
+    let digests = compute_all(run);
     let mut t = metrics::Table::new(&["entry", "sched", "expected", "got", "status"]);
     let mut ok = true;
     for (entry, d) in entries.iter().zip(&digests) {

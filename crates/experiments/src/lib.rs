@@ -49,8 +49,6 @@ pub mod table2;
 pub mod tournament;
 pub mod tune;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use kernel::{AppId, AppSpec, CheckMode, FaultPlan, Kernel};
 use simcore::{Dur, Time};
 use topology::Topology;
@@ -58,33 +56,19 @@ use workloads::{Entry, Metric, P};
 
 pub use scenario::Sched;
 
-/// Global SchedSan switch (the `battle --check strict` flag). Like the
-/// worker-pool size in [`runner`], it is process-global so every driver's
-/// kernels pick it up without threading a parameter through each figure.
-static CHECK_STRICT: AtomicBool = AtomicBool::new(false);
-
-/// Turn strict invariant checking on/off for every kernel built by
-/// [`make_kernel`] from now on.
-pub fn set_check_mode(mode: CheckMode) {
-    CHECK_STRICT.store(mode == CheckMode::Strict, Ordering::Relaxed);
-}
-
-/// The SchedSan mode currently in effect.
-pub fn check_mode() -> CheckMode {
-    if CHECK_STRICT.load(Ordering::Relaxed) {
-        CheckMode::Strict
-    } else {
-        CheckMode::Off
-    }
-}
-
-/// Common run configuration.
+/// Common run configuration, parsed once by `battle` and passed down to
+/// every driver.
 #[derive(Debug, Clone)]
 pub struct RunCfg {
     /// Work-volume scale (1.0 = paper-sized).
     pub scale: f64,
     /// RNG seed.
     pub seed: u64,
+    /// SchedSan mode of every kernel the run builds (`--check`).
+    pub check: CheckMode,
+    /// Simulation worker-pool size for [`runner::par_map`] (`--threads`).
+    /// Output is byte-identical whatever the value.
+    pub threads: usize,
 }
 
 impl Default for RunCfg {
@@ -92,6 +76,8 @@ impl Default for RunCfg {
         RunCfg {
             scale: 1.0,
             seed: 42,
+            check: CheckMode::Off,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -106,11 +92,11 @@ impl RunCfg {
     }
 }
 
-/// Build a kernel for `topo` driven by `sched`, honouring the global
-/// check mode. Delegates to [`scenario::make_kernel`] (the one kernel
-/// factory both the figure drivers and the scenario engine share).
-pub fn make_kernel(topo: &Topology, sched: Sched, seed: u64) -> Kernel {
-    scenario::make_kernel(topo, sched, seed, check_mode(), FaultPlan::default())
+/// Build a fault-free kernel for `topo` driven by `sched`. Delegates to
+/// [`scenario::make_kernel`] (the one kernel factory both the figure
+/// drivers and the scenario engine share).
+pub fn make_kernel(topo: &Topology, sched: Sched, seed: u64, check: CheckMode) -> Kernel {
+    scenario::make_kernel(topo, sched, seed, check, FaultPlan::default())
 }
 
 /// Structured observability snapshot of one finished kernel run
@@ -198,7 +184,7 @@ pub fn try_run_entry(
     cfg: &RunCfg,
     with_noise: bool,
 ) -> Result<PerfResult, crash::Crash> {
-    let mut k = make_kernel(topo, sched, cfg.seed);
+    let mut k = make_kernel(topo, sched, cfg.seed, cfg.check);
     let p = P::scaled(topo.nr_cpus(), cfg.scale);
     let mut start = Time::ZERO;
     if with_noise {
@@ -281,7 +267,8 @@ mod tests {
     #[test]
     fn make_kernel_both_scheds() {
         let topo = Topology::single_core();
-        assert_eq!(make_kernel(&topo, Sched::Cfs, 1).sched_name(), "cfs");
-        assert_eq!(make_kernel(&topo, Sched::Ule, 1).sched_name(), "ule");
+        let k = |sched| make_kernel(&topo, sched, 1, CheckMode::Off);
+        assert_eq!(k(Sched::Cfs).sched_name(), "cfs");
+        assert_eq!(k(Sched::Ule).sched_name(), "ule");
     }
 }

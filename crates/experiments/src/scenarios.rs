@@ -16,7 +16,7 @@ use kernel::{CancelToken, CheckMode};
 use scenario::{EngineError, EngineOpts, Scenario, ScenarioRun, Sched};
 
 use crate::scope::{Analyzer, ChromeTrace, BUFFERED_CAPACITY};
-use crate::{check_mode, crash, runner, RunCfg};
+use crate::{crash, runner, RunCfg};
 
 /// Outcome of one scenario file: its runs and any assertion failures.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -80,7 +80,7 @@ fn opts_for(cfg: &RunCfg, cancel: Option<&CancelToken>) -> EngineOpts {
     EngineOpts {
         scale: cfg.scale,
         seed: cfg.seed,
-        check: check_mode(),
+        check: cfg.check,
         trace_capacity: 0,
         cancel: cancel.cloned(),
         ..EngineOpts::default()
@@ -160,7 +160,7 @@ pub fn run_all(
         .flat_map(|(i, (_, sc))| scheds_of(sc).into_iter().map(move |s| (i, s)))
         .collect();
     let cancel_ref = cancel.as_ref();
-    let outcomes = runner::par_map_supervised(jobs.clone(), |(i, sched)| {
+    let outcomes = runner::par_map(cfg.threads, jobs.clone(), |(i, sched)| {
         let (path, sc) = &scenarios[i];
         scenario::run_sched(sc, sched, &opts_for(cfg, cancel_ref))
             .map(|o| o.run)
@@ -335,7 +335,7 @@ pub fn cli(
             return false;
         }
     };
-    let strict = check_mode() == CheckMode::Strict;
+    let strict = cfg.check == CheckMode::Strict;
     println!(
         "running {} scenario(s) at scale {} seed {}{}\n",
         scenarios.len(),

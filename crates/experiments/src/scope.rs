@@ -570,7 +570,7 @@ pub fn run_scenario(
     capacity: usize,
 ) -> Result<(Kernel, u64), String> {
     let topo = topology_of(fig)?;
-    let mut k = make_kernel(&topo, sched, cfg.seed);
+    let mut k = make_kernel(&topo, sched, cfg.seed, cfg.check);
     if capacity > 0 {
         k.set_trace_capacity(capacity);
     }

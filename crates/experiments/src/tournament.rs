@@ -19,17 +19,17 @@
 //! composite across the corpus. A run that crashed, violated an invariant
 //! or was aborted by supervision scores 0 on that scenario.
 //!
-//! Determinism: jobs run through [`runner::par_map_supervised`], which
-//! returns results in submission order whatever the pool size, and the
-//! scoring arithmetic consumes them in that order — the scorecard (ASCII
-//! and JSON) is byte-identical across `--threads` values.
+//! Determinism: jobs run through [`runner::par_map`], which returns
+//! results in submission order whatever the pool size, and the scoring
+//! arithmetic consumes them in that order — the scorecard (ASCII and JSON)
+//! is byte-identical across `--threads` values.
 
 use std::path::PathBuf;
 
 use metrics::table::Table;
 use scenario::{EngineError, RunOutput, Scenario, Sched};
 
-use crate::{check_mode, runner, scenarios, RunCfg};
+use crate::{runner, scenarios, RunCfg};
 
 /// One (scenario, scheduler) outcome, reduced to the scorecard metrics.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -166,12 +166,12 @@ pub fn run(scenarios_list: &[(PathBuf, Scenario)], cfg: &RunCfg) -> TournamentRe
     let jobs: Vec<(usize, Sched)> = (0..scenarios_list.len())
         .flat_map(|i| scheds.into_iter().map(move |s| (i, s)))
         .collect();
-    let outcomes = runner::par_map_supervised(jobs.clone(), |(i, sched)| {
+    let outcomes = runner::par_map(cfg.threads, jobs.clone(), |(i, sched)| {
         let (_, sc) = &scenarios_list[i];
         let opts = scenario::EngineOpts {
             scale: cfg.scale,
             seed: cfg.seed,
-            check: check_mode(),
+            check: cfg.check,
             trace_capacity: 0,
             ..scenario::EngineOpts::default()
         };

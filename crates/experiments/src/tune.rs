@@ -18,11 +18,10 @@
 //!    `(3 + jain) / 4` under this scheme, so tuned-vs-stock composites
 //!    are directly comparable.
 //!
-//! Candidate × scenario runs fan out through
-//! [`runner::par_map_supervised`], which returns results in submission
-//! order whatever the pool size — the whole report (ASCII, JSON, and the
-//! emitted `results/tuned/<sched>.toml`) is byte-identical across
-//! `--threads` values.
+//! Candidate × scenario runs fan out through [`runner::par_map`], which
+//! returns results in submission order whatever the pool size — the whole
+//! report (ASCII, JSON, and the emitted `results/tuned/<sched>.toml`) is
+//! byte-identical across `--threads` values.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -34,7 +33,7 @@ use metrics::table::Table;
 use scenario::{EngineError, EngineOpts, Scenario, Sched};
 use sched_api::params::{Dim, DimScale, ParamVector};
 
-use crate::{check_mode, runner, scenarios, tournament};
+use crate::{runner, scenarios, tournament, RunCfg};
 
 /// Ratio cap for per-metric tuned/stock comparisons: a candidate can earn
 /// at most "twice as good as stock" on any one metric, so a single
@@ -46,10 +45,9 @@ const REL_CAP: f64 = 2.0;
 pub struct TuneCfg {
     /// Candidate evaluations per scheduler (including the stock default).
     pub budget: usize,
-    /// RNG seed (shared by the search and every simulation run).
-    pub seed: u64,
-    /// Work-volume scale for the corpus runs.
-    pub scale: f64,
+    /// Scale, seed (shared by the search and every simulation run), check
+    /// mode and worker count of the corpus runs.
+    pub run: RunCfg,
     /// Schedulers to tune (default: every scheduler with tunables).
     pub scheds: Vec<Sched>,
     /// Write `results/tuned/<sched>.toml` + `table.md` artifacts.
@@ -62,8 +60,7 @@ impl Default for TuneCfg {
     fn default() -> Self {
         TuneCfg {
             budget: 64,
-            seed: 42,
-            scale: 1.0,
+            run: RunCfg::default(),
             scheds: Sched::TUNABLE.to_vec(),
             write: false,
             out_dir: "results/tuned".into(),
@@ -157,9 +154,9 @@ fn run_meas(
     params: Option<&ParamVector>,
 ) -> Result<Meas, String> {
     let opts = EngineOpts {
-        scale: cfg.scale,
-        seed: cfg.seed,
-        check: check_mode(),
+        scale: cfg.run.scale,
+        seed: cfg.run.seed,
+        check: cfg.run.check,
         trace_capacity: 0,
         budget,
         cancel: None,
@@ -261,7 +258,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
 
     // Stage 1: stock baseline, unbudgeted, fanned out over the corpus.
     let idxs: Vec<usize> = (0..corpus.len()).collect();
-    let base_outcomes = runner::par_map_supervised(idxs, |i| {
+    let base_outcomes = runner::par_map(cfg.run.threads, idxs, |i| {
         run_meas(&corpus[i].1, sched, cfg, RunBudget::default(), None)
     });
     let mut baseline: Vec<Option<Meas>> = Vec::with_capacity(corpus.len());
@@ -311,7 +308,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
         let jobs: Vec<(usize, usize)> = (0..batch.len())
             .flat_map(|b| scored.iter().map(move |&i| (b, i)))
             .collect();
-        let outcomes = runner::par_map_supervised(jobs, |(b, i)| {
+        let outcomes = runner::par_map(cfg.run.threads, jobs, |(b, i)| {
             run_meas(&corpus[i].1, sched, cfg, cand_budget(i), Some(&batch[b]))
         });
         let mut per_cand: Vec<Vec<Option<Meas>>> = vec![Vec::new(); batch.len()];
@@ -350,7 +347,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
 
     let scfg = SearchCfg {
         budget: cfg.budget,
-        seed: cfg.seed,
+        seed: cfg.run.seed,
         ..SearchCfg::default()
     };
     let result = search(&dims, &scfg, objective);
@@ -416,8 +413,8 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
     };
     TuneReport {
         sched,
-        scale: cfg.scale,
-        seed: cfg.seed,
+        scale: cfg.run.scale,
+        seed: cfg.run.seed,
         budget: cfg.budget,
         evals: result.evals,
         scenarios: corpus.iter().map(|(_, sc)| sc.name.clone()).collect(),

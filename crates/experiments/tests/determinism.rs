@@ -3,14 +3,14 @@
 //! byte-identical whatever `--threads` is set to.
 
 use experiments::{fig5, make_kernel, runner, RunCfg, Sched};
-use kernel::{cpu_hog, AppSpec, ThreadSpec};
+use kernel::{cpu_hog, AppSpec, CheckMode, ThreadSpec};
 use simcore::{Dur, Time};
 use topology::Topology;
 
 /// A deterministic digest for one busy-machine simulation.
 fn digest_of(sched: Sched, seed: u64) -> (u64, u64) {
     let topo = Topology::core_i7_3770();
-    let mut k = make_kernel(&topo, sched, seed);
+    let mut k = make_kernel(&topo, sched, seed, CheckMode::Off);
     let threads = (0..16)
         .map(|i| ThreadSpec::new(format!("w{i}"), cpu_hog(Dur::millis(300), Dur::millis(4))))
         .collect();
@@ -22,20 +22,17 @@ fn digest_of(sched: Sched, seed: u64) -> (u64, u64) {
 #[test]
 fn decision_digest_is_identical_across_thread_counts() {
     // 8 simulations; run the batch once on 1 worker and once on 8.
-    let jobs = |_: usize| {
-        let mut v: Vec<Box<dyn FnOnce() -> (u64, u64) + Send>> = Vec::new();
-        for seed in 0..4u64 {
-            for sched in Sched::BOTH {
-                v.push(Box::new(move || digest_of(sched, seed)));
-            }
-        }
-        v
+    let jobs: Vec<(u64, Sched)> = (0..4u64)
+        .flat_map(|seed| Sched::BOTH.map(|sched| (seed, sched)))
+        .collect();
+    let digests_on = |threads: usize| {
+        let out = runner::par_map(threads, jobs.clone(), |(seed, sched)| {
+            digest_of(sched, seed)
+        });
+        runner::unwrap_all(out)
     };
-    runner::set_threads(1);
-    let seq = runner::run_all(jobs(0));
-    runner::set_threads(8);
-    let par = runner::run_all(jobs(0));
-    runner::set_threads(0);
+    let seq = digests_on(1);
+    let par = digests_on(8);
     assert_eq!(seq, par, "digests must not depend on the worker count");
     assert!(seq.iter().all(|&(d, e)| d != 0 && e > 0));
 }
@@ -45,15 +42,17 @@ fn fig5_json_is_byte_identical_across_thread_counts() {
     // A scaled-down fig5 sweep (the most parallel driver): its serialized
     // JSON — what `battle --json` writes — must not change with the pool
     // size.
-    let cfg = RunCfg {
-        scale: 0.02,
-        seed: 7,
+    let json_on = |threads: usize| {
+        let cfg = RunCfg {
+            scale: 0.02,
+            seed: 7,
+            threads,
+            ..RunCfg::default()
+        };
+        serde_json::to_string_pretty(&fig5::run(&cfg)).unwrap()
     };
-    runner::set_threads(1);
-    let seq = serde_json::to_string_pretty(&fig5::run(&cfg)).unwrap();
-    runner::set_threads(8);
-    let par = serde_json::to_string_pretty(&fig5::run(&cfg)).unwrap();
-    runner::set_threads(0);
+    let seq = json_on(1);
+    let par = json_on(8);
     assert!(!seq.is_empty());
     assert_eq!(
         seq, par,

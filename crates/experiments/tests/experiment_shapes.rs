@@ -7,7 +7,7 @@
 use experiments::{fig1, fig2, fig34, fig6, fig7, RunCfg};
 
 fn cfg(scale: f64) -> RunCfg {
-    RunCfg { scale, seed: 42 }
+    RunCfg::at_scale(scale)
 }
 
 #[test]

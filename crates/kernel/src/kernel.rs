@@ -285,10 +285,6 @@ impl Kernel {
         let check_on = cfg.check == CheckMode::Strict;
         let faults_on = cfg.faults.active();
         let fault_rng = rng.fork(0xFA17);
-        let events = match cfg.event_queue {
-            Some(b) => EventQueue::with_backend(b),
-            None => EventQueue::new(),
-        };
         let budget = cfg.budget.clone();
         let budget_on = budget.active();
         let watch = Watch::new(cfg.watchdog_stall_events, cfg.watchdog_pingpong);
@@ -296,7 +292,7 @@ impl Kernel {
             topo,
             cfg,
             now: Time::ZERO,
-            events,
+            events: EventQueue::new(),
             ticks: TickLane::new(ncpu),
             sched,
             tasks: TaskTable::new(),

@@ -16,34 +16,24 @@
 //! innermost loop of the whole simulator — and a stale id (cancel after
 //! fire) simply fails its generation check.
 //!
-//! # Backends
+//! # The timer wheel
 //!
-//! Two interchangeable backends implement the same (time, seq) total
-//! order, selectable at construction with [`EventQueue::with_backend`]:
+//! Events are ordered by a hierarchical timer wheel tuned for the
+//! simulator's tick-dominated event mix: O(1) pushes into one of 7 levels
+//! of 64 slots each (1 ns granularity at level 0, ×64 per level, ~73
+//! simulated minutes of horizon; rare farther events go to a small
+//! overflow heap). Pops advance a cursor directly to the next occupied
+//! slot via per-level occupancy bitmaps, cascading coarser slots down as
+//! the cursor crosses them. Every entry descends at most once per level,
+//! so the amortized cost per event is a handful of indexed moves — no
+//! comparison-heap churn on the hot path.
 //!
-//! * [`Backend::Wheel`] (default) — a hierarchical timer wheel tuned for
-//!   the simulator's tick-dominated event mix: O(1) pushes into one of
-//!   7 levels of 64 slots each (1 ns granularity at level 0, ×64 per
-//!   level, ~73 simulated minutes of horizon; rare farther events go to a
-//!   small overflow heap). Pops advance a cursor directly to the next
-//!   occupied slot via per-level occupancy bitmaps, cascading coarser
-//!   slots down as the cursor crosses them. Every entry descends at most
-//!   once per level, so the amortized cost per event is a handful of
-//!   indexed moves — no comparison-heap churn on the hot path.
-//! * [`Backend::Heap`] — the classic binary-heap calendar, kept as the
-//!   reference implementation for differential testing (see
-//!   `crates/simcore/tests/backend_equiv.rs`) and as a fallback
-//!   (`BATTLE_EVENT_QUEUE=heap` forces it process-wide, which CI uses to
-//!   keep the path green).
-//!
-//! Both backends produce byte-identical pop sequences for any push/cancel
-//! history; the scenario-level determinism digests are pinned equal in
-//! `crates/experiments/tests/wheel_equiv.rs`.
+//! The pop sequence is exactly that of a binary heap keyed on (time, seq)
+//! with lazy cancellation; `crates/simcore/tests/backend_equiv.rs` checks
+//! the wheel against such a heap as a test-local reference model.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::time::Time;
 
@@ -70,52 +60,6 @@ impl EventId {
     }
 }
 
-/// Which data structure orders the events. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Hierarchical timer wheel (default; fastest for tick-heavy mixes).
-    Wheel,
-    /// Binary heap (reference/fallback; `BATTLE_EVENT_QUEUE=heap`).
-    Heap,
-}
-
-/// Process-wide programmatic override of the default backend
-/// (`0` = none, `1` = wheel, `2` = heap). Takes precedence over the
-/// `BATTLE_EVENT_QUEUE` environment variable; used by differential tests.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Force every subsequently constructed [`EventQueue::new`] onto `b`
-/// process-wide (`None` restores env/default resolution). Intended for
-/// differential tests; explicit [`EventQueue::with_backend`] construction
-/// is unaffected. Racing kernels built while the override flips simply get
-/// one backend or the other — safe, because the backends are
-/// pop-order-identical by contract.
-pub fn set_default_backend(b: Option<Backend>) {
-    let v = match b {
-        None => 0,
-        Some(Backend::Wheel) => 1,
-        Some(Backend::Heap) => 2,
-    };
-    BACKEND_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The backend [`EventQueue::new`] currently resolves to: the
-/// [`set_default_backend`] override if set, else `BATTLE_EVENT_QUEUE`
-/// (`heap` or `wheel`, read once per process), else [`Backend::Wheel`].
-pub fn default_backend() -> Backend {
-    match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Backend::Wheel,
-        2 => Backend::Heap,
-        _ => {
-            static ENV: OnceLock<Backend> = OnceLock::new();
-            *ENV.get_or_init(|| match std::env::var("BATTLE_EVENT_QUEUE").as_deref() {
-                Ok("heap") => Backend::Heap,
-                _ => Backend::Wheel,
-            })
-        }
-    }
-}
-
 /// Liveness state of one slot in the recycled slot table.
 #[derive(Debug, Clone)]
 struct Slot {
@@ -125,7 +69,7 @@ struct Slot {
     cancelled: bool,
 }
 
-/// The recycled cancellation table shared by both backends.
+/// The recycled cancellation table.
 #[derive(Debug, Default)]
 struct SlotTable {
     slots: Vec<Slot>,
@@ -236,7 +180,7 @@ fn level_of(cursor: u64, at: u64) -> Option<usize> {
     (level < LEVELS).then_some(level)
 }
 
-/// The hierarchical-wheel backend. See the module docs for the shape.
+/// The hierarchical timer wheel. See the module docs for the shape.
 ///
 /// Ordering invariants:
 ///
@@ -349,17 +293,11 @@ impl<E> Wheel<E> {
 // The queue
 // ---------------------------------------------------------------------
 
-#[derive(Debug)]
-enum Core<E> {
-    Heap(BinaryHeap<HeapEnt<E>>),
-    Wheel(Wheel<E>),
-}
-
 /// A time-ordered event queue with stable same-time ordering and lazy
-/// cancellation. See the module docs for the backend story.
+/// cancellation. See the module docs for the wheel's shape.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    core: Core<E>,
+    wheel: Wheel<E>,
     /// Monotonic sequence number providing same-time FIFO order (also
     /// drawn from by [`EventQueue::alloc_seq`] for externally merged
     /// event sources, e.g. the kernel's tick lane).
@@ -378,30 +316,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue on the default backend (see [`default_backend`]).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_backend(default_backend())
-    }
-
-    /// An empty queue on an explicit backend.
-    pub fn with_backend(backend: Backend) -> Self {
         EventQueue {
-            core: match backend {
-                Backend::Heap => Core::Heap(BinaryHeap::new()),
-                Backend::Wheel => Core::Wheel(Wheel::new()),
-            },
+            wheel: Wheel::new(),
             next_seq: 0,
             table: SlotTable::default(),
             live: 0,
             last_pop: Time::ZERO,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> Backend {
-        match self.core {
-            Core::Heap(_) => Backend::Heap,
-            Core::Wheel(_) => Backend::Wheel,
         }
     }
 
@@ -429,10 +351,7 @@ impl<E> EventQueue<E> {
             slot,
             payload,
         };
-        match &mut self.core {
-            Core::Heap(h) => h.push(HeapEnt(e)),
-            Core::Wheel(w) => w.insert(e),
-        }
+        self.wheel.insert(e);
         self.live += 1;
         EventId::new(gen, slot)
     }
@@ -447,125 +366,111 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Position the next live entry at the backend's head, dropping
+    /// Position the next live entry at the wheel's head, dropping
     /// cancelled ones along the way, and return its (time, seq) key.
     fn ensure_head(&mut self) -> Option<(Time, u64)> {
-        let EventQueue { core, table, .. } = self;
-        match core {
-            Core::Heap(h) => loop {
-                let head = h.peek()?;
-                if table.cancelled(head.0.slot) {
-                    let e = h.pop().expect("peeked").0;
-                    table.release(e.slot);
-                } else {
-                    return Some((head.0.at, head.0.seq));
+        let EventQueue {
+            wheel: w, table, ..
+        } = self;
+        loop {
+            // Drop cancelled heads of the two pop-side buffers.
+            while let Some(e) = w.early.last() {
+                if !table.cancelled(e.slot) {
+                    break;
                 }
-            },
-            Core::Wheel(w) => loop {
-                // Drop cancelled heads of the two pop-side buffers.
-                while let Some(e) = w.early.last() {
-                    if !table.cancelled(e.slot) {
-                        break;
-                    }
-                    let e = w.early.pop().expect("peeked");
-                    table.release(e.slot);
-                    w.stored -= 1;
+                let e = w.early.pop().expect("peeked");
+                table.release(e.slot);
+                w.stored -= 1;
+            }
+            while let Some(e) = w.staged.last() {
+                if !table.cancelled(e.slot) {
+                    break;
                 }
-                while let Some(e) = w.staged.last() {
-                    if !table.cancelled(e.slot) {
-                        break;
-                    }
-                    let e = w.staged.pop().expect("peeked");
-                    table.release(e.slot);
-                    w.stored -= 1;
-                }
-                // `early` times precede the cursor, hence everything
-                // staged or still in the wheel.
-                if let Some(e) = w.early.last() {
-                    return Some((e.at, e.seq));
-                }
-                if let Some(e) = w.staged.last() {
-                    return Some((e.at, e.seq));
-                }
-                // Refill: advance to the next occupied slot, cascading
-                // coarse slots and pulling due overflow entries in.
-                let cand = w.candidate();
-                if let Some(o) = w.overflow.peek() {
-                    let due = match cand {
-                        // An overflow entry at/before the next wheel
-                        // window must be filed first so it sorts into
-                        // that window's slots.
-                        Some((t, _, _)) => o.0.at.0 <= t,
-                        None => true,
-                    };
-                    if due {
-                        let e = w.overflow.pop().expect("peeked").0;
-                        if table.cancelled(e.slot) {
-                            table.release(e.slot);
-                            w.stored -= 1;
-                            continue;
-                        }
-                        if cand.is_none() {
-                            // Wheel empty: leap the cursor straight to the
-                            // entry so it always files as the next level-0
-                            // slot. (Placement is XOR-based, so an entry
-                            // just across a top-level window boundary
-                            // cannot be filed from the old cursor even
-                            // when its delta is within the wheel span.)
-                            w.cursor = e.at.0;
-                        }
-                        w.place(e);
+                let e = w.staged.pop().expect("peeked");
+                table.release(e.slot);
+                w.stored -= 1;
+            }
+            // `early` times precede the cursor, hence everything
+            // staged or still in the wheel.
+            if let Some(e) = w.early.last() {
+                return Some((e.at, e.seq));
+            }
+            if let Some(e) = w.staged.last() {
+                return Some((e.at, e.seq));
+            }
+            // Refill: advance to the next occupied slot, cascading
+            // coarse slots and pulling due overflow entries in.
+            let cand = w.candidate();
+            if let Some(o) = w.overflow.peek() {
+                let due = match cand {
+                    // An overflow entry at/before the next wheel
+                    // window must be filed first so it sorts into
+                    // that window's slots.
+                    Some((t, _, _)) => o.0.at.0 <= t,
+                    None => true,
+                };
+                if due {
+                    let e = w.overflow.pop().expect("peeked").0;
+                    if table.cancelled(e.slot) {
+                        table.release(e.slot);
+                        w.stored -= 1;
                         continue;
                     }
-                }
-                let (t, l, s) = cand?;
-                w.cursor = t;
-                w.occupied[l] &= !(1 << s);
-                if l == 0 {
-                    // The slot holds exactly one instant; stage it for
-                    // FIFO pops (reverse so we pop from the back).
-                    debug_assert!(w.staged.is_empty());
-                    std::mem::swap(&mut w.staged, &mut w.lanes[s]);
-                    // Insertion order is seq order except when overflow
-                    // re-seeding interleaved old entries; restore it then.
-                    if w.staged.windows(2).any(|p| p[0].seq > p[1].seq) {
-                        w.staged.sort_unstable_by_key(|e| e.seq);
+                    if cand.is_none() {
+                        // Wheel empty: leap the cursor straight to the
+                        // entry so it always files as the next level-0
+                        // slot. (Placement is XOR-based, so an entry
+                        // just across a top-level window boundary
+                        // cannot be filed from the old cursor even
+                        // when its delta is within the wheel span.)
+                        w.cursor = e.at.0;
                     }
-                    w.staged.reverse();
-                } else {
-                    // Cascade the coarse slot down one or more levels.
-                    let mut v = std::mem::take(&mut w.lanes[l * SLOTS + s]);
-                    for e in v.drain(..) {
-                        if table.cancelled(e.slot) {
-                            table.release(e.slot);
-                            w.stored -= 1;
-                        } else {
-                            w.place(e);
-                        }
-                    }
-                    // Hand the emptied bucket's capacity back to its lane.
-                    w.lanes[l * SLOTS + s] = v;
+                    w.place(e);
+                    continue;
                 }
-            },
+            }
+            let (t, l, s) = cand?;
+            w.cursor = t;
+            w.occupied[l] &= !(1 << s);
+            if l == 0 {
+                // The slot holds exactly one instant; stage it for
+                // FIFO pops (reverse so we pop from the back).
+                debug_assert!(w.staged.is_empty());
+                std::mem::swap(&mut w.staged, &mut w.lanes[s]);
+                // Insertion order is seq order except when overflow
+                // re-seeding interleaved old entries; restore it then.
+                if w.staged.windows(2).any(|p| p[0].seq > p[1].seq) {
+                    w.staged.sort_unstable_by_key(|e| e.seq);
+                }
+                w.staged.reverse();
+            } else {
+                // Cascade the coarse slot down one or more levels.
+                let mut v = std::mem::take(&mut w.lanes[l * SLOTS + s]);
+                for e in v.drain(..) {
+                    if table.cancelled(e.slot) {
+                        table.release(e.slot);
+                        w.stored -= 1;
+                    } else {
+                        w.place(e);
+                    }
+                }
+                // Hand the emptied bucket's capacity back to its lane.
+                w.lanes[l * SLOTS + s] = v;
+            }
         }
     }
 
     /// Remove and return the earliest live event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.ensure_head()?;
-        let EventQueue { core, table, .. } = self;
-        let e = match core {
-            Core::Heap(h) => h.pop().expect("head ensured").0,
-            Core::Wheel(w) => {
-                w.stored -= 1;
-                if !w.early.is_empty() {
-                    w.early.pop().expect("head ensured")
-                } else {
-                    w.staged.pop().expect("head ensured")
-                }
-            }
+        let w = &mut self.wheel;
+        w.stored -= 1;
+        let e = if !w.early.is_empty() {
+            w.early.pop().expect("head ensured")
+        } else {
+            w.staged.pop().expect("head ensured")
         };
-        let was_cancelled = table.release(e.slot);
+        let was_cancelled = self.table.release(e.slot);
         debug_assert!(!was_cancelled, "ensure_head yielded a cancelled entry");
         debug_assert!(e.at >= self.last_pop, "event queue went back in time");
         self.last_pop = e.at;
@@ -589,10 +494,7 @@ impl<E> EventQueue<E> {
     /// Number of entries currently stored, including not-yet-skipped
     /// cancelled ones. Useful only as a rough size signal.
     pub fn raw_len(&self) -> usize {
-        match &self.core {
-            Core::Heap(h) => h.len(),
-            Core::Wheel(w) => w.stored,
-        }
+        self.wheel.stored
     }
 
     /// Number of live (not cancelled) events.
@@ -611,152 +513,124 @@ mod tests {
     use super::*;
     use crate::time::Dur;
 
-    /// Run `f` against a fresh queue on each backend.
-    fn on_both(f: impl Fn(EventQueue<&'static str>)) {
-        f(EventQueue::with_backend(Backend::Heap));
-        f(EventQueue::with_backend(Backend::Wheel));
-    }
-
-    #[test]
-    fn default_is_wheel_unless_overridden() {
-        assert_eq!(EventQueue::<u8>::new().backend(), default_backend());
-        assert_eq!(
-            EventQueue::<u8>::with_backend(Backend::Heap).backend(),
-            Backend::Heap
-        );
-    }
-
     #[test]
     fn pops_in_time_order() {
-        on_both(|mut q| {
-            q.push(Time(30), "c");
-            q.push(Time(10), "a");
-            q.push(Time(20), "b");
-            assert_eq!(q.pop(), Some((Time(10), "a")));
-            assert_eq!(q.pop(), Some((Time(20), "b")));
-            assert_eq!(q.pop(), Some((Time(30), "c")));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        q.push(Time(30), "c");
+        q.push(Time(10), "a");
+        q.push(Time(20), "b");
+        assert_eq!(q.pop(), Some((Time(10), "a")));
+        assert_eq!(q.pop(), Some((Time(20), "b")));
+        assert_eq!(q.pop(), Some((Time(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn same_time_is_fifo() {
-        for backend in [Backend::Heap, Backend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.push(Time(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((Time(5), i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(Time(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((Time(5), i)));
         }
     }
 
     #[test]
     fn cancellation_skips_events() {
-        on_both(|mut q| {
-            let a = q.push(Time(1), "a");
-            q.push(Time(2), "b");
-            q.cancel(a);
-            assert_eq!(q.pop(), Some((Time(2), "b")));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        let a = q.push(Time(1), "a");
+        q.push(Time(2), "b");
+        q.cancel(a);
+        assert_eq!(q.pop(), Some((Time(2), "b")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        on_both(|mut q| {
-            let a = q.push(Time(1), "a");
-            assert_eq!(q.pop(), Some((Time(1), "a")));
-            q.cancel(a); // must not disturb later events
-            q.push(Time(2), "b");
-            assert_eq!(q.pop(), Some((Time(2), "b")));
-        });
+        let mut q = EventQueue::new();
+        let a = q.push(Time(1), "a");
+        assert_eq!(q.pop(), Some((Time(1), "a")));
+        q.cancel(a); // must not disturb later events
+        q.push(Time(2), "b");
+        assert_eq!(q.pop(), Some((Time(2), "b")));
     }
 
     #[test]
     fn peek_time_skips_cancelled_head() {
-        on_both(|mut q| {
-            let a = q.push(Time(1), "a");
-            q.push(Time(5), "b");
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(Time(5)));
-            assert_eq!(q.pop(), Some((Time(5), "b")));
-        });
+        let mut q = EventQueue::new();
+        let a = q.push(Time(1), "a");
+        q.push(Time(5), "b");
+        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(Time(5)));
+        assert_eq!(q.pop(), Some((Time(5), "b")));
     }
 
     #[test]
     fn is_empty_accounts_for_cancellation() {
-        for backend in [Backend::Heap, Backend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            let a = q.push(Time::ZERO + Dur::millis(1), ());
-            assert!(!q.is_empty());
-            q.cancel(a);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let a = q.push(Time::ZERO + Dur::millis(1), ());
+        assert!(!q.is_empty());
+        q.cancel(a);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn stale_id_cannot_cancel_a_recycled_slot() {
-        on_both(|mut q| {
-            let a = q.push(Time(1), "a");
-            assert_eq!(q.pop(), Some((Time(1), "a")));
-            // "b" reuses a's slot (single-slot table); the stale handle must
-            // fail its generation check rather than kill the new event.
-            let b = q.push(Time(2), "b");
-            q.cancel(a);
-            assert_eq!(q.pop(), Some((Time(2), "b")));
-            // And a live handle still cancels normally after recycling.
-            let c = q.push(Time(3), "c");
-            q.cancel(c);
-            q.cancel(b); // stale again: no-op
-            assert_eq!(q.pop(), None);
-            assert!(q.is_empty());
-        });
+        let mut q = EventQueue::new();
+        let a = q.push(Time(1), "a");
+        assert_eq!(q.pop(), Some((Time(1), "a")));
+        // "b" reuses a's slot (single-slot table); the stale handle must
+        // fail its generation check rather than kill the new event.
+        let b = q.push(Time(2), "b");
+        q.cancel(a);
+        assert_eq!(q.pop(), Some((Time(2), "b")));
+        // And a live handle still cancels normally after recycling.
+        let c = q.push(Time(3), "c");
+        q.cancel(c);
+        q.cancel(b); // stale again: no-op
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn slots_are_recycled_not_leaked() {
-        for backend in [Backend::Heap, Backend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            for round in 0..10u64 {
-                for i in 0..16 {
-                    q.push(Time(round * 100 + i), i);
-                }
-                let cancel_every_other: Vec<_> = (0..16)
-                    .map(|i| q.push(Time(round * 100 + 50 + i), i))
-                    .collect();
-                for id in cancel_every_other.iter().step_by(2) {
-                    q.cancel(*id);
-                }
-                while q.pop().is_some() {}
+        let mut q = EventQueue::new();
+        for round in 0..10u64 {
+            for i in 0..16 {
+                q.push(Time(round * 100 + i), i);
             }
-            assert!(
-                q.table.slots.len() <= 32,
-                "slot table grew past peak occupancy: {}",
-                q.table.slots.len()
-            );
+            let cancel_every_other: Vec<_> = (0..16)
+                .map(|i| q.push(Time(round * 100 + 50 + i), i))
+                .collect();
+            for id in cancel_every_other.iter().step_by(2) {
+                q.cancel(*id);
+            }
+            while q.pop().is_some() {}
         }
+        assert!(
+            q.table.slots.len() <= 32,
+            "slot table grew past peak occupancy: {}",
+            q.table.slots.len()
+        );
     }
 
     #[test]
     fn len_counts_live_events_only() {
-        for backend in [Backend::Heap, Backend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            let a = q.push(Time(1), ());
-            q.push(Time(2), ());
-            assert_eq!(q.len(), 2);
-            q.cancel(a);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.raw_len(), 2, "cancelled entry still buffered");
-            q.pop();
-            assert_eq!(q.len(), 0);
-        }
+        let mut q = EventQueue::new();
+        let a = q.push(Time(1), ());
+        q.push(Time(2), ());
+        assert_eq!(q.len(), 2);
+        q.cancel(a);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.raw_len(), 2, "cancelled entry still buffered");
+        q.pop();
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn alloc_seq_interleaves_with_pushes() {
-        let mut q = EventQueue::with_backend(Backend::Wheel);
+        let mut q = EventQueue::new();
         q.push(Time(9), "x");
         let s = q.alloc_seq();
         let id = q.push(Time(9), "y");
@@ -769,112 +643,52 @@ mod tests {
 
     #[test]
     fn far_future_events_overflow_and_return() {
-        for backend in [Backend::Heap, Backend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            // Beyond the 2^42 ns wheel span: simulated hours/days.
-            let far = Time(WHEEL_SPAN * 3 + 17);
-            let farther = Time(WHEEL_SPAN * 900 + 1);
-            q.push(far, "far");
-            q.push(Time(5), "near");
-            let dead = q.push(farther, "cancelled");
-            q.push(farther, "farther");
-            q.cancel(dead);
-            assert_eq!(q.pop(), Some((Time(5), "near")));
-            assert_eq!(q.pop(), Some((far, "far")));
-            assert_eq!(q.pop(), Some((farther, "farther")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        // Beyond the 2^42 ns wheel span: simulated hours/days.
+        let far = Time(WHEEL_SPAN * 3 + 17);
+        let farther = Time(WHEEL_SPAN * 900 + 1);
+        q.push(far, "far");
+        q.push(Time(5), "near");
+        let dead = q.push(farther, "cancelled");
+        q.push(farther, "farther");
+        q.cancel(dead);
+        assert_eq!(q.pop(), Some((Time(5), "near")));
+        assert_eq!(q.pop(), Some((far, "far")));
+        assert_eq!(q.pop(), Some((farther, "farther")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn push_behind_a_peeked_cursor_still_pops_in_order() {
-        for backend in [Backend::Heap, Backend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(Time(5_000_000), "late");
-            // Peeking may advance the wheel cursor to 5 ms...
-            assert_eq!(q.peek_time(), Some(Time(5_000_000)));
-            // ...but a driver may still schedule work before that.
-            q.push(Time(1_000), "early2");
-            q.push(Time(999), "early1");
-            let dead = q.push(Time(998), "dead");
-            q.cancel(dead);
-            assert_eq!(q.pop(), Some((Time(999), "early1")));
-            assert_eq!(q.peek_time(), Some(Time(1_000)));
-            assert_eq!(q.pop(), Some((Time(1_000), "early2")));
-            assert_eq!(q.pop(), Some((Time(5_000_000), "late")));
-        }
+        let mut q = EventQueue::new();
+        q.push(Time(5_000_000), "late");
+        // Peeking may advance the wheel cursor to 5 ms...
+        assert_eq!(q.peek_time(), Some(Time(5_000_000)));
+        // ...but a driver may still schedule work before that.
+        q.push(Time(1_000), "early2");
+        q.push(Time(999), "early1");
+        let dead = q.push(Time(998), "dead");
+        q.cancel(dead);
+        assert_eq!(q.pop(), Some((Time(999), "early1")));
+        assert_eq!(q.peek_time(), Some(Time(1_000)));
+        assert_eq!(q.pop(), Some((Time(1_000), "early2")));
+        assert_eq!(q.pop(), Some((Time(5_000_000), "late")));
     }
 
     #[test]
     fn same_instant_push_while_draining_stays_fifo() {
-        for backend in [Backend::Heap, Backend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(Time(7), 0u64);
-            q.push(Time(7), 1);
-            assert_eq!(q.pop(), Some((Time(7), 0)));
-            // Queue is mid-instant (entry 1 staged); a handler pushes more
-            // work for the same instant.
-            q.push(Time(7), 2);
-            q.push(Time(8), 9);
-            q.push(Time(7), 3);
-            assert_eq!(q.pop(), Some((Time(7), 1)));
-            assert_eq!(q.pop(), Some((Time(7), 2)));
-            assert_eq!(q.pop(), Some((Time(7), 3)));
-            assert_eq!(q.pop(), Some((Time(8), 9)));
-        }
-    }
-
-    /// The wheel must produce exactly the heap's pop sequence for a messy
-    /// interleaved workload (the cheap in-crate differential check; the
-    /// property-based one lives in `tests/backend_equiv.rs`).
-    #[test]
-    fn wheel_matches_heap_on_interleaved_mix() {
-        let mut heap = EventQueue::with_backend(Backend::Heap);
-        let mut wheel = EventQueue::with_backend(Backend::Wheel);
-        let mut rng = crate::rng::SimRng::new(0xD1FF);
-        let mut ids = Vec::new();
-        let mut now = 0u64;
-        for step in 0..5_000u64 {
-            match rng.gen_below(10) {
-                0..=5 => {
-                    let horizon = match rng.gen_below(4) {
-                        0 => 64,             // same few ns
-                        1 => 1_000_000,      // within a tick
-                        2 => 50_000_000,     // tens of ms
-                        _ => WHEEL_SPAN * 2, // overflow territory
-                    };
-                    let at = Time(now + rng.gen_below(horizon));
-                    let payload = step;
-                    let a = heap.push(at, payload);
-                    let b = wheel.push(at, payload);
-                    ids.push((a, b));
-                }
-                6..=7 => {
-                    if !ids.is_empty() {
-                        let i = rng.gen_below(ids.len() as u64) as usize;
-                        let (a, b) = ids[i];
-                        heap.cancel(a);
-                        wheel.cancel(b);
-                    }
-                }
-                _ => {
-                    let h = heap.pop();
-                    let w = wheel.pop();
-                    assert_eq!(h, w, "backends diverged at step {step}");
-                    if let Some((at, _)) = h {
-                        now = at.0;
-                    }
-                }
-            }
-            assert_eq!(heap.len(), wheel.len());
-        }
-        loop {
-            let h = heap.pop();
-            let w = wheel.pop();
-            assert_eq!(h, w);
-            if h.is_none() {
-                break;
-            }
-        }
+        let mut q = EventQueue::new();
+        q.push(Time(7), 0u64);
+        q.push(Time(7), 1);
+        assert_eq!(q.pop(), Some((Time(7), 0)));
+        // Queue is mid-instant (entry 1 staged); a handler pushes more
+        // work for the same instant.
+        q.push(Time(7), 2);
+        q.push(Time(8), 9);
+        q.push(Time(7), 3);
+        assert_eq!(q.pop(), Some((Time(7), 1)));
+        assert_eq!(q.pop(), Some((Time(7), 2)));
+        assert_eq!(q.pop(), Some((Time(7), 3)));
+        assert_eq!(q.pop(), Some((Time(8), 9)));
     }
 }
