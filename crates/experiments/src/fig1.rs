@@ -8,10 +8,11 @@
 //! completes (§5.1).
 
 use metrics::TimeSeries;
-use simcore::{Dur, Time};
-use workloads::{synthetic, sysbench::SysbenchCfg};
 
-use crate::{make_kernel, RunCfg, Sched};
+use crate::{app_of, figure_scenario, run_figure, RunCfg, Sched};
+
+/// The experiment as a scenario file; the engine builds and drives it.
+const SCENARIO: &str = include_str!("../../../scenarios/fig1.toml");
 
 /// One scheduler's run of the experiment.
 #[derive(Debug, serde::Serialize)]
@@ -42,55 +43,23 @@ pub struct Fig1Run {
 
 /// Run the experiment under one scheduler.
 pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
-    let topo = topology::Topology::single_core();
-    let mut k = make_kernel(&topo, sched, cfg.seed, cfg.check);
-
-    let fibo_work = Dur::secs_f64(160.0 * cfg.scale);
-    let fibo = k.queue_app(Time::ZERO, synthetic::fibo(fibo_work));
-
-    let sb_start = Time::ZERO + Dur::secs_f64(7.0 * cfg.scale);
-    let sb_cfg = SysbenchCfg {
-        threads: 80,
-        total_tx: ((260_000.0 * cfg.scale).round() as u64).max(500),
-        ..Default::default()
-    };
-    let spec = workloads::sysbench::sysbench(&mut k, sb_cfg);
-    let sysbench = k.queue_app(sb_start, spec);
-
-    let mut out = Fig1Run {
-        sched,
-        fibo_runtime: TimeSeries::new("fibo"),
-        sysbench_runtime: TimeSeries::new("sysbench"),
-        fibo_penalty: TimeSeries::new("fibo penalty"),
-        sysbench_penalty: TimeSeries::new("sysbench penalty"),
-        sysbench_done_s: None,
-        fibo_done_s: None,
-        sysbench_tx_per_s: 0.0,
-        sysbench_avg_latency_ms: 0.0,
-        fibo_runtime_total_s: 0.0,
-        obs: None,
-    };
-
-    let step = Dur::secs_f64((1.0 * cfg.scale).max(0.05));
-    let limit = Time::ZERO + Dur::secs_f64(420.0 * cfg.scale + 30.0);
-    let fibo_tid = {
-        k.run_until(Time::ZERO); // start apps at t=0
-        k.app_tasks(fibo)[0]
-    };
-    while k.now() < limit && !k.all_apps_done() {
-        let next = k.now() + step;
-        k.run_until(next);
-        out.fibo_runtime
-            .push(k.now(), k.task_runtime(fibo_tid).as_secs_f64());
-        let sb_tasks = k.app_tasks(sysbench);
+    let mut fibo_runtime = TimeSeries::new("fibo");
+    let mut sysbench_runtime = TimeSeries::new("sysbench");
+    let mut fibo_penalty = TimeSeries::new("fibo penalty");
+    let mut sysbench_penalty = TimeSeries::new("sysbench penalty");
+    let mut fibo_tid = None;
+    let out = run_figure(&figure_scenario(SCENARIO), sched, cfg, |k, apps| {
+        let fibo = *fibo_tid.get_or_insert_with(|| k.app_tasks(app_of(apps, "fibo"))[0]);
+        fibo_runtime.push(k.now(), k.task_runtime(fibo).as_secs_f64());
+        let sb_tasks = k.app_tasks(app_of(apps, "sysbench"));
         let sb_rt: f64 = sb_tasks
             .iter()
             .map(|&t| k.task_runtime(t).as_secs_f64())
             .sum();
-        out.sysbench_runtime.push(k.now(), sb_rt);
+        sysbench_runtime.push(k.now(), sb_rt);
         if sched == Sched::Ule {
-            if let Some(p) = k.snapshot(fibo_tid).ule_penalty {
-                out.fibo_penalty.push(k.now(), p as f64);
+            if let Some(p) = k.snapshot(fibo).ule_penalty {
+                fibo_penalty.push(k.now(), p as f64);
             }
             // Mean penalty over the (live) worker threads.
             let (mut sum, mut n) = (0.0, 0u32);
@@ -101,21 +70,32 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
                 }
             }
             if n > 0 {
-                out.sysbench_penalty.push(k.now(), sum / n as f64);
+                sysbench_penalty.push(k.now(), sum / n as f64);
             }
         }
+    });
+    let k = &out.kernel;
+    let fibo_tid = fibo_tid.expect("the engine ran at least one step");
+    let sysbench = k.app(app_of(&out.apps, "sysbench"));
+    Fig1Run {
+        sched,
+        fibo_runtime,
+        sysbench_runtime,
+        fibo_penalty,
+        sysbench_penalty,
+        sysbench_done_s: sysbench.elapsed().map(|d| d.as_secs_f64()),
+        fibo_done_s: k
+            .app(app_of(&out.apps, "fibo"))
+            .finished
+            .map(|t| t.as_secs_f64()),
+        sysbench_tx_per_s: sysbench.ops_per_sec(k.now()),
+        sysbench_avg_latency_ms: sysbench
+            .avg_latency()
+            .map(|d| d.as_secs_f64() * 1e3)
+            .unwrap_or(0.0),
+        fibo_runtime_total_s: k.task_runtime(fibo_tid).as_secs_f64(),
+        obs: Some(crate::obs_of(k)),
     }
-    out.sysbench_done_s = k.app(sysbench).elapsed().map(|d| d.as_secs_f64());
-    out.fibo_done_s = k.app(fibo).finished.map(|t| t.as_secs_f64());
-    out.sysbench_tx_per_s = k.app(sysbench).ops_per_sec(k.now());
-    out.sysbench_avg_latency_ms = k
-        .app(sysbench)
-        .avg_latency()
-        .map(|d| d.as_secs_f64() * 1e3)
-        .unwrap_or(0.0);
-    out.fibo_runtime_total_s = k.task_runtime(fibo_tid).as_secs_f64();
-    out.obs = Some(crate::obs_of(&k));
-    out
 }
 
 /// The full figure: both schedulers.

@@ -10,10 +10,11 @@
 
 use metrics::PerCoreSeries;
 use simcore::{Dur, Time};
-use topology::{CpuId, Topology};
-use workloads::synthetic::pinned_spinners;
 
-use crate::{make_kernel, RunCfg, Sched};
+use crate::{app_of, figure_scenario, run_figure, RunCfg, Sched};
+
+/// The experiment as a scenario file; the engine builds and drives it.
+const SCENARIO: &str = include_str!("../../../scenarios/fig6.toml");
 
 /// One scheduler's rebalancing trace.
 #[derive(Debug, serde::Serialize)]
@@ -40,61 +41,37 @@ pub struct Fig6Run {
 
 /// Run under one scheduler.
 pub fn run(sched: Sched, cfg: &RunCfg) -> Fig6Run {
-    let topo = Topology::opteron_6172();
-    let ncpu = topo.nr_cpus();
-    let nthreads = ((512.0 * cfg.scale).round() as usize).max(2 * ncpu);
-    let mut k = make_kernel(&topo, sched, cfg.seed, cfg.check);
-    let app = k.queue_app(Time::ZERO, pinned_spinners(nthreads));
-    let unpin_at = Time::ZERO + Dur::secs_f64(14.5 * cfg.scale.max(0.05));
-    k.queue_unpin(unpin_at, app);
-
-    // ULE needs hundreds of seconds (one migration per balancer period);
-    // CFS settles (to its imperfect steady state) within seconds.
-    let total_horizon = match sched {
-        Sched::Ule => Dur::secs_f64(560.0 * cfg.scale + 30.0),
-        _ => unpin_at.saturating_since(Time::ZERO) + Dur::secs(60),
-    };
-    let step = Dur::millis(100);
-    let mut matrix = PerCoreSeries::new();
-    let sample = |k: &kernel::Kernel| -> Vec<u32> {
-        (0..ncpu as u32)
-            .map(|c| k.nr_queued(CpuId(c)) as u32)
-            .collect()
-    };
-    let mut migrated_in_200ms = 0;
-    let mut on_core0_after_unpin = 0;
-    let limit = Time::ZERO + total_horizon;
-    while k.now() < limit {
-        let next = k.now() + step;
-        k.run_until(next);
-        matrix.push(k.now(), sample(&k));
-        if k.now() >= unpin_at + Dur::millis(200) && migrated_in_200ms == 0 {
-            migrated_in_200ms = nthreads as u32 - k.nr_queued(CpuId(0)) as u32;
-        }
-        if k.now() >= unpin_at + Dur::millis(500) && on_core0_after_unpin == 0 {
-            on_core0_after_unpin = k.nr_queued(CpuId(0)) as u32;
-        }
-        // Stop early once converged for a while (keeps ULE runs bounded).
-        if matrix.final_spread() <= 1 && k.now() > unpin_at + Dur::secs(2) {
-            break;
-        }
-    }
-    let convergence_s = matrix
-        .convergence_time(2)
-        .map(|t| t - unpin_at.as_secs_f64());
-    let good_balance_s = matrix
-        .convergence_time(5)
-        .map(|t| t - unpin_at.as_secs_f64());
+    let sc = figure_scenario(SCENARIO);
+    let unpin_at = Time::ZERO + sc.events[0].at.eval(cfg.scale);
+    let out = run_figure(&sc, sched, cfg, |_, _| {});
+    let nthreads = out.kernel.app(app_of(&out.apps, "spinners")).spawned as u32;
+    let (migrated_in_200ms, on_core0_after_unpin) = unpin_probes(&out.matrix, unpin_at, nthreads);
+    let since_unpin = |t: f64| t - unpin_at.as_secs_f64();
     Fig6Run {
         sched,
-        final_spread: matrix.final_spread(),
-        convergence_s,
-        good_balance_s,
+        final_spread: out.matrix.final_spread(),
+        convergence_s: out.matrix.convergence_time(2).map(since_unpin),
+        good_balance_s: out.matrix.convergence_time(5).map(since_unpin),
         on_core0_after_unpin,
         migrated_in_200ms,
-        matrix,
-        obs: crate::obs_of(&k),
+        obs: crate::obs_of(&out.kernel),
+        matrix: out.matrix,
     }
+}
+
+/// `(migrated_in_200ms, on_core0_after_unpin)`: core 0's load in the first
+/// matrix row at or after unpin + 200 ms (as threads moved off it) and at
+/// or after unpin + 500 ms. 0 if the run ended before that instant.
+fn unpin_probes(matrix: &PerCoreSeries, unpin_at: Time, nthreads: u32) -> (u32, u32) {
+    let core0_at = |after: Dur| {
+        let t = (unpin_at + after).as_secs_f64();
+        let row = matrix.times.iter().position(|&s| s >= t)?;
+        Some(matrix.counts[row][0])
+    };
+    (
+        core0_at(Dur::millis(200)).map_or(0, |c| nthreads - c),
+        core0_at(Dur::millis(500)).unwrap_or(0),
+    )
 }
 
 /// The full figure.
@@ -191,4 +168,31 @@ pub fn validate(fig: &Fig6, nthreads: u32, ncpu: u32) -> Vec<String> {
         ));
     }
     bad
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unpin_probes_keep_a_real_zero() {
+        // 4 threads unpinned at 1 s; core 0 still holds all of them at
+        // +200 ms and +500 ms, and only sheds them later.
+        let mut m = PerCoreSeries::new();
+        for (ms, row) in [
+            (1_100, [4, 0]),
+            (1_200, [4, 0]),
+            (1_500, [4, 0]),
+            (1_600, [2, 2]),
+        ] {
+            m.push(Time::ZERO + Dur::millis(ms), row.to_vec());
+        }
+        let unpin = Time::ZERO + Dur::secs(1);
+        assert_eq!(unpin_probes(&m, unpin, 4), (0, 4));
+        // Rows between samples: the first row at or after the instant.
+        assert_eq!(unpin_probes(&m, unpin - Dur::millis(50), 4), (0, 4));
+        assert_eq!(unpin_probes(&m, unpin + Dur::millis(50), 4), (0, 2));
+        // The run ended before the instants: nothing measured.
+        assert_eq!(unpin_probes(&m, unpin + Dur::secs(5), 4), (0, 0));
+    }
 }

@@ -12,12 +12,12 @@ use simcore::Fnv1a;
 
 use scenario::{EngineOpts, Sched};
 
-use crate::{fig1, fig5, fig6, fig7, runner, RunCfg};
+use crate::{fig5, runner, RunCfg};
 
 /// What a manifest entry runs.
 #[derive(Debug, Clone)]
 pub enum Job {
-    /// A hardcoded figure driver.
+    /// A figure driver without a scenario file (fig5's suite sweep).
     Fig(&'static str),
     /// A scenario file, relative to the repo root.
     Scenario(&'static str),
@@ -41,24 +41,9 @@ pub const SEED: u64 = 42;
 pub fn manifest() -> Vec<Entry> {
     vec![
         Entry {
-            name: "fig1",
-            job: Job::Fig("fig1"),
-            scale: 0.05,
-        },
-        Entry {
             name: "fig5",
             job: Job::Fig("fig5"),
             scale: 0.02,
-        },
-        Entry {
-            name: "fig6",
-            job: Job::Fig("fig6"),
-            scale: 0.02,
-        },
-        Entry {
-            name: "fig7",
-            job: Job::Fig("fig7"),
-            scale: 0.05,
         },
         Entry {
             name: "sc-fig1",
@@ -103,7 +88,8 @@ pub fn manifest() -> Vec<Entry> {
     ]
 }
 
-/// Digests of one manifest entry, CFS then ULE.
+/// Digests of one manifest entry: CFS then ULE for fig5, every
+/// registered scheduler ([`Sched::ALL`] order) for scenarios.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct EntryDigests {
     /// Entry name.
@@ -142,13 +128,6 @@ fn compute(entry: &Entry, run: &RunCfg) -> EntryDigests {
         error: None,
     };
     match &entry.job {
-        Job::Fig("fig1") => {
-            let fig = fig1::run_both(&cfg);
-            let cfs = fig.cfs.obs.as_ref().map(|o| o.digest).unwrap_or(0);
-            let ule = fig.ule.obs.as_ref().map(|o| o.digest).unwrap_or(0);
-            out.digests.push(("cfs".into(), cfs));
-            out.digests.push(("ule".into(), ule));
-        }
         Job::Fig("fig5") => {
             let cmp = fig5::run(&cfg);
             out.digests.push((
@@ -159,16 +138,6 @@ fn compute(entry: &Entry, run: &RunCfg) -> EntryDigests {
                 "ule".into(),
                 fold(cmp.rows.iter().map(|r| r.ule.obs.digest)),
             ));
-        }
-        Job::Fig("fig6") => {
-            let fig = fig6::run_both(&cfg);
-            out.digests.push(("cfs".into(), fig.cfs.obs.digest));
-            out.digests.push(("ule".into(), fig.ule.obs.digest));
-        }
-        Job::Fig("fig7") => {
-            let fig = fig7::run_both(&cfg);
-            out.digests.push(("cfs".into(), fig.cfs.obs.digest));
-            out.digests.push(("ule".into(), fig.ule.obs.digest));
         }
         Job::Fig(other) => {
             out.error = Some(format!("unknown figure `{other}` in manifest"));
@@ -183,7 +152,7 @@ fn compute(entry: &Entry, run: &RunCfg) -> EntryDigests {
                     seed: SEED,
                     ..EngineOpts::default()
                 };
-                for &sched in &[Sched::Cfs, Sched::Ule, Sched::Eevdf] {
+                for sched in Sched::ALL {
                     let label = sched.flag_name();
                     match scenario::run_sched(&sc, sched, &opts) {
                         Ok(r) => {

@@ -17,6 +17,11 @@
 //! All drivers are deterministic given a seed and accept a `scale`
 //! parameter that shrinks work volumes (tests and benches use small
 //! scales; the `battle` CLI defaults to the paper-sized runs).
+//!
+//! [`fig1`], [`fig6`] and [`fig7`] are views over `scenarios/fig{1,6,7}.toml`:
+//! they compile the file in, run it through the scenario engine
+//! ([`scenario::run_sched_observed`]) and read their series off its
+//! per-step observer and per-core matrix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,6 +102,46 @@ impl RunCfg {
 /// drivers and the scenario engine share).
 pub fn make_kernel(topo: &Topology, sched: Sched, seed: u64, check: CheckMode) -> Kernel {
     scenario::make_kernel(topo, sched, seed, check, FaultPlan::default())
+}
+
+/// Parse a figure's compiled-in scenario file.
+pub(crate) fn figure_scenario(src: &str) -> scenario::Scenario {
+    scenario::Scenario::from_toml(src).expect("compiled-in figure scenario parses")
+}
+
+/// Run a figure's scenario under `sched` through the scenario engine,
+/// handing `on_step` the kernel after every sampling step. A simulator
+/// error (strict-mode invariant violation) or supervision abort panics
+/// with the kernel's message, as `Kernel::run_until` does.
+pub(crate) fn run_figure(
+    sc: &scenario::Scenario,
+    sched: Sched,
+    cfg: &RunCfg,
+    on_step: impl FnMut(&Kernel, &[(String, AppId)]),
+) -> scenario::RunOutput {
+    let opts = scenario::EngineOpts {
+        scale: cfg.scale,
+        seed: cfg.seed,
+        check: cfg.check,
+        ..Default::default()
+    };
+    let out = match scenario::run_sched_observed(sc, sched, &opts, on_step) {
+        Ok(out) => out,
+        Err(scenario::EngineError::Crash(c)) => panic!("{}", c.error),
+        Err(e) => panic!("{e}"),
+    };
+    if let Some(msg) = &out.run.abort {
+        panic!("{msg}");
+    }
+    out
+}
+
+/// The app a figure scenario's `phase` queued.
+pub(crate) fn app_of(apps: &[(String, AppId)], phase: &str) -> AppId {
+    apps.iter()
+        .find(|(name, _)| name == phase)
+        .map(|&(_, id)| id)
+        .unwrap_or_else(|| panic!("figure scenario has no `{phase}` phase"))
 }
 
 /// Structured observability snapshot of one finished kernel run

@@ -1,14 +1,17 @@
 //! Execute a parsed [`Scenario`] on one scheduler.
 //!
-//! The engine reproduces the hardcoded figure drivers' structure exactly:
-//! build the kernel, queue every phase in file order (build order assigns
-//! task and sync-object ids, which feed the decision digest), then drive
-//! `try_run_until` in sampling steps, recording the per-core load matrix
-//! and honouring the declarative stop rules. An invariant violation
-//! (SchedSan strict mode) comes back as an [`EngineCrash`] carrying the
-//! kernel's crash report instead of aborting the process.
+//! This is the one path every scenario run takes, the paper's figures
+//! included: `experiments::fig{1,6,7}` load `scenarios/fig{1,6,7}.toml`
+//! and read their series off [`run_sched_observed`]'s per-step observer.
+//! The engine builds the kernel, queues every phase in file order (build
+//! order assigns task and sync-object ids, which feed the decision
+//! digest), then drives `try_run_until` in sampling steps, recording the
+//! per-core load matrix and honouring the declarative stop rules. An
+//! invariant violation (SchedSan strict mode) comes back as an
+//! [`EngineCrash`] carrying the kernel's crash report instead of aborting
+//! the process.
 
-use kernel::{CancelToken, CheckMode, Kernel, RunBudget, SimError};
+use kernel::{AppId, CancelToken, CheckMode, Kernel, RunBudget, SimError};
 use metrics::{Histogram, LatencySummary, PerCoreSeries};
 use serde::Serialize;
 use simcore::Time;
@@ -183,10 +186,27 @@ pub struct RunOutput {
     pub run: ScenarioRun,
     /// The kernel, in its end-of-run state.
     pub kernel: Kernel,
+    /// Runnable threads per core, one row per sampling step.
+    pub matrix: PerCoreSeries,
+    /// `(phase name, app)` for every phase, in file order.
+    pub apps: Vec<(String, AppId)>,
 }
 
 /// Run `sc` under `sched`.
 pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOutput, EngineError> {
+    run_sched_observed(sc, sched, opts, |_, _| {})
+}
+
+/// [`run_sched`] with a per-step observer: `on_step` sees the kernel and
+/// the `(phase name, app)` list after every successful sampling step,
+/// after the step's matrix row is recorded and before the stop rules are
+/// checked.
+pub fn run_sched_observed(
+    sc: &Scenario,
+    sched: Sched,
+    opts: &EngineOpts,
+    mut on_step: impl FnMut(&Kernel, &[(String, AppId)]),
+) -> Result<RunOutput, EngineError> {
     let topo = sc.topology.build();
     let ncpu = topo.nr_cpus();
     let mut k = make_kernel_tuned(
@@ -225,7 +245,7 @@ pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOu
     }
 
     // Queue phases in file order; build immediately before queueing so
-    // sync-object ids interleave exactly as the figure drivers do.
+    // sync-object ids interleave in file order (they feed the digest).
     let mut apps = Vec::with_capacity(sc.phases.len());
     for phase in &sc.phases {
         let at = Time::ZERO + phase.at.eval(opts.scale);
@@ -290,6 +310,7 @@ pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOu
                 .map(|c| k.nr_queued(CpuId(c as u32)) as u32)
                 .collect(),
         );
+        on_step(&k, &apps);
         if let Some(th) = sc.run.stop_spread_le {
             if matrix.final_spread() <= th && k.now() > stop_after {
                 break;
@@ -355,7 +376,12 @@ pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOu
         abort_kind: abort.as_ref().map(|(k, _)| *k),
         abort: abort.map(|(_, msg)| msg),
     };
-    Ok(RunOutput { run, kernel: k })
+    Ok(RunOutput {
+        run,
+        kernel: k,
+        matrix,
+        apps,
+    })
 }
 
 fn counter_value(c: &kernel::Counters, name: &str) -> u64 {

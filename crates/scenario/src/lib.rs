@@ -1,11 +1,12 @@
 //! Declarative scheduling scenarios.
 //!
-//! The paper's figures hard-code each workload in Rust; this crate turns a
-//! workload × topology × fault-plan × assertion combination into *data*: a
-//! TOML (or JSON) file parsed into a [`spec::Scenario`] and executed by
-//! [`engine::run_sched`] on either scheduler. The `battle run` subcommand
-//! is the CLI front-end; `scenarios/` in the repo root is the library of
-//! ported figures and new stress scenarios the golden-digest CI gate pins.
+//! This crate turns a workload × topology × fault-plan × assertion
+//! combination into *data*: a TOML (or JSON) file parsed into a
+//! [`spec::Scenario`] and executed by [`engine::run_sched`] on any
+//! registered scheduler. The `battle run` subcommand is the CLI front-end;
+//! `scenarios/` in the repo root is the library of figure files (the only
+//! build of `battle fig1/fig6/fig7`) and stress scenarios the
+//! golden-digest CI gate pins.
 //!
 //! Layering:
 //!
@@ -14,7 +15,7 @@
 //! | [`toml`]     | minimal TOML → [`serde::Value`] parser (the vendored serde has no deserializer) |
 //! | [`expr`]     | scale-aware time/count expressions (`{ base_s = 420, plus_s = 30 }`) |
 //! | [`spec`]     | the typed scenario schema, with unknown-key rejection and field-path errors |
-//! | [`workload`] | phase specs → kernel [`AppSpec`]s (digest-compatible with the hardcoded figures) |
+//! | [`workload`] | phase specs → kernel [`AppSpec`]s (built in file order: ids feed the decision digest) |
 //! | [`engine`]   | build kernel, queue phases, drive the loop, evaluate assertions |
 
 #![forbid(unsafe_code)]
@@ -37,7 +38,8 @@ use ule::params::UleParams;
 use ule::Ule;
 
 pub use engine::{
-    failures, run_sched, AbortKind, EngineCrash, EngineError, EngineOpts, RunOutput, ScenarioRun,
+    failures, run_sched, run_sched_observed, AbortKind, EngineCrash, EngineError, EngineOpts,
+    RunOutput, ScenarioRun,
 };
 pub use spec::{BudgetSpec, Scenario, SpecError};
 

@@ -11,8 +11,9 @@
 
 use std::collections::VecDeque;
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
-use kernel::{cpu_hog, AppSpec, ThreadSpec};
+use experiments::make_kernel;
+use kernel::{cpu_hog, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec};
+use scenario::Sched;
 use sched_api::{
     DequeueKind, EnqueueKind, Preempt, PreemptCause, Scheduler, SelectError, SelectStats,
     TaskSnapshot, TaskTable, Tid, WakeKind,
@@ -164,29 +165,32 @@ fn workload() -> AppSpec {
     )
 }
 
+/// Run the workload to completion and return its elapsed seconds.
+fn elapsed_s(mut k: Kernel) -> f64 {
+    let app = k.queue_app(Time::ZERO, workload());
+    k.run_until_apps_done(Time::ZERO + Dur::secs(30));
+    k.app(app).elapsed().unwrap().as_secs_f64()
+}
+
 fn main() {
-    let machine = Machine::Flat(8);
+    let topo = Topology::flat(8);
     println!("16 × 400ms of work on 8 cores (perfect schedule: 0.8s)\n");
 
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
-        let mut sim = Simulation::new(machine.clone(), kind, 42);
-        let app = sim.spawn_app(workload());
-        sim.run_to_completion(Dur::secs(30));
+    for sched in Sched::BOTH {
+        let k = make_kernel(&topo, sched, 42, CheckMode::Off);
         println!(
             "{:<8} finished in {:.2}s",
-            format!("{kind:?}"),
-            sim.app_elapsed(app).unwrap().as_secs_f64()
+            format!("{sched:?}"),
+            elapsed_s(k)
         );
     }
 
-    let topo = machine.topology();
-    let mut sim =
-        Simulation::with_scheduler(machine, Box::new(RandomPlacement::new(&topo, 42)), 42);
-    let app = sim.spawn_app(workload());
-    sim.run_to_completion(Dur::secs(30));
+    // Any `Scheduler` plugs into the kernel the same way the registry's do.
+    let class = Box::new(RandomPlacement::new(&topo, 42));
+    let k = Kernel::new(topo, SimConfig::with_seed(42), class);
     println!(
         "{:<8} finished in {:.2}s (random placement, no balancing)",
         "Random",
-        sim.app_elapsed(app).unwrap().as_secs_f64()
+        elapsed_s(k)
     );
 }

@@ -9,37 +9,37 @@
 //! cargo run --release --example load_balancing
 //! ```
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
-use simcore::Dur;
-use topology::CpuId;
+use experiments::make_kernel;
+use kernel::{CheckMode, Kernel};
+use scenario::Sched;
+use simcore::{Dur, Time};
+use topology::{CpuId, Topology};
 use workloads::synthetic::pinned_spinners;
 
 const NCORES: u32 = 8;
 const NTHREADS: usize = 64;
 
-fn counts(sim: &Simulation) -> Vec<usize> {
-    (0..NCORES)
-        .map(|c| sim.kernel().nr_queued(CpuId(c)))
-        .collect()
+fn counts(k: &Kernel) -> Vec<usize> {
+    (0..NCORES).map(|c| k.nr_queued(CpuId(c))).collect()
 }
 
 fn main() {
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
-        let mut sim = Simulation::new(Machine::Flat(NCORES), kind, 42);
-        let app = sim.spawn_app(pinned_spinners(NTHREADS));
-        sim.run_for(Dur::secs(1));
-        println!("{kind:?}: pinned  {:?}", counts(&sim));
+    for sched in Sched::BOTH {
+        let mut k = make_kernel(&Topology::flat(NCORES), sched, 42, CheckMode::Off);
+        let app = k.queue_app(Time::ZERO, pinned_spinners(NTHREADS));
+        let unpin_at = Time::ZERO + Dur::secs(1);
+        k.run_until(unpin_at);
+        println!("{sched:?}: pinned  {:?}", counts(&k));
 
-        let now = sim.kernel().now();
-        sim.kernel_mut().queue_unpin(now, app);
-        for (label, dur) in [
+        k.queue_unpin(unpin_at, app);
+        for (label, since_unpin) in [
             ("+200ms", Dur::millis(200)),
-            ("+1s   ", Dur::millis(800)),
-            ("+5s   ", Dur::secs(4)),
-            ("+20s  ", Dur::secs(15)),
+            ("+1s   ", Dur::secs(1)),
+            ("+5s   ", Dur::secs(5)),
+            ("+20s  ", Dur::secs(20)),
         ] {
-            sim.run_for(dur);
-            println!("{kind:?}: {label} {:?}", counts(&sim));
+            k.run_until(unpin_at + since_unpin);
+            println!("{sched:?}: {label} {:?}", counts(&k));
         }
         println!();
     }

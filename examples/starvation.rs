@@ -7,35 +7,37 @@
 //! cargo run --release --example starvation
 //! ```
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
-use simcore::Dur;
+use experiments::make_kernel;
+use kernel::CheckMode;
+use scenario::Sched;
+use simcore::{Dur, Time};
+use topology::Topology;
 use workloads::sysbench::{sysbench, SysbenchCfg};
 
 fn main() {
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
-        let mut sim = Simulation::new(Machine::SingleCore, kind, 42);
+    for sched in Sched::BOTH {
+        let mut k = make_kernel(&Topology::single_core(), sched, 42, CheckMode::Off);
 
-        let fibo = sim.spawn_app(workloads::synthetic::fibo(Dur::secs(8)));
+        let fibo = k.queue_app(Time::ZERO, workloads::synthetic::fibo(Dur::secs(8)));
         let spec = sysbench(
-            sim.kernel_mut(),
+            &mut k,
             SysbenchCfg {
                 threads: 80,
                 total_tx: 12_000,
                 ..Default::default()
             },
         );
-        let db = sim.spawn_app_at(Dur::millis(500), spec);
+        let db = k.queue_app(Time::ZERO + Dur::millis(500), spec);
 
-        println!("{kind:?}: sampling fibo's cumulative runtime every second");
-        let fibo_tid = {
-            sim.run_for(Dur::millis(1));
-            sim.kernel().app_tasks(fibo)[0]
-        };
+        println!("{sched:?}: sampling fibo's cumulative runtime every second");
+        let start = Time::ZERO + Dur::millis(1);
+        k.run_until(start);
+        let fibo_tid = k.app_tasks(fibo)[0];
         for s in 1..=10 {
-            sim.run_for(Dur::secs(1));
-            let rt = sim.kernel().task_runtime(fibo_tid);
-            let pen = sim.kernel().snapshot(fibo_tid).ule_penalty;
-            let db_ops = sim.kernel().app(db).ops;
+            k.run_until(start + Dur::secs(s));
+            let rt = k.task_runtime(fibo_tid);
+            let pen = k.snapshot(fibo_tid).ule_penalty;
+            let db_ops = k.app(db).ops;
             println!(
                 "  t={s:>2}s fibo runtime {:>5.2}s{}  sysbench tx {}",
                 rt.as_secs_f64(),
@@ -43,15 +45,15 @@ fn main() {
                 db_ops
             );
         }
-        sim.run_to_completion(Dur::secs(600));
+        k.run_until_apps_done(k.now() + Dur::secs(600));
         println!(
             "  sysbench: {:.0} tx/s, avg latency {:?}",
-            sim.app_ops_per_sec(db),
-            sim.kernel().app(db).avg_latency()
+            k.app(db).ops_per_sec(k.now()),
+            k.app(db).avg_latency()
         );
         println!(
             "  fibo finished at t={:.1}s\n",
-            sim.kernel().app(fibo).finished.unwrap().as_secs_f64()
+            k.app(fibo).finished.unwrap().as_secs_f64()
         );
     }
 }

@@ -7,23 +7,22 @@
 //! Table 1).
 //!
 //! This crate is the umbrella: it re-exports every workspace crate.
-//! Start with [`battle_core`] for the high-level API, [`experiments`] for
-//! the figure/table drivers, and the `battle` binary to regenerate the
-//! paper's results:
+//! Start with [`experiments::make_kernel`] (a [`kernel::Kernel`] on a
+//! [`topology::Topology`] preset, driven by any [`scenario::Sched`]),
+//! [`experiments`] for the figure/table drivers, and the `battle` binary
+//! to regenerate the paper's results:
 //!
 //! ```text
 //! cargo run --release -p experiments --bin battle -- all --scale 0.3
 //! ```
 
-pub use battle_core;
 pub use cfs;
 pub use experiments;
 pub use kernel;
 pub use metrics;
+pub use scenario;
 pub use sched_api;
 pub use simcore;
 pub use topology;
 pub use ule;
 pub use workloads;
-
-pub use battle_core::{Machine, SchedulerKind, Simulation};

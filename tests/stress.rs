@@ -3,9 +3,11 @@
 //! scheduler. Catches lost wakeups, accounting drift and scheduler-state
 //! corruption under interleavings no hand-written test would produce.
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
-use kernel::{from_fn, Action, AppSpec, Kernel, ThreadSpec};
-use simcore::Dur;
+use experiments::make_kernel;
+use kernel::{from_fn, Action, AppSpec, CheckMode, Kernel, ThreadSpec};
+use scenario::Sched;
+use simcore::{Dur, Time};
+use topology::Topology;
 
 /// A thread that performs `steps` random actions drawn from the full
 /// action vocabulary (never holding more than one lock, so no deadlock is
@@ -122,47 +124,52 @@ fn build_chaos(k: &mut Kernel, threads: usize, steps: u32, barrier_waits: u32) -
     )
 }
 
-fn run_chaos(kind: SchedulerKind, seed: u64) {
-    let mut sim = Simulation::new(Machine::Flat(4), kind, seed);
-    let spec = build_chaos(sim.kernel_mut(), 12, 150, 4);
-    let app = sim.spawn_app(spec);
-    let done = sim.run_to_completion(Dur::secs(300));
-    assert!(done, "{kind:?} seed {seed}: chaos app hung");
+fn run_chaos(sched: Sched, seed: u64) {
+    let mut k = make_kernel(&Topology::flat(4), sched, seed, CheckMode::Off);
+    let spec = build_chaos(&mut k, 12, 150, 4);
+    let app = k.queue_app(Time::ZERO, spec);
+    let done = k.run_until_apps_done(Time::ZERO + Dur::secs(300));
+    assert!(done, "{sched:?} seed {seed}: chaos app hung");
     assert_eq!(
-        sim.kernel().app(app).live,
+        k.app(app).live,
         0,
-        "{kind:?} seed {seed}: threads left behind"
+        "{sched:?} seed {seed}: threads left behind"
     );
     // Work conservation sanity: total runtime ≤ 4 cores × elapsed.
-    let total: f64 = sim.app_cpu_time(app).as_secs_f64();
-    let cap = 4.0 * sim.kernel().now().as_secs_f64();
-    assert!(total <= cap + 1e-9, "{kind:?}: {total} > {cap}");
+    let total_ns: u64 = k
+        .app_tasks(app)
+        .iter()
+        .map(|&t| k.task_runtime(t).as_nanos())
+        .sum();
+    let total = total_ns as f64 / 1e9;
+    let cap = 4.0 * k.now().as_secs_f64();
+    assert!(total <= cap + 1e-9, "{sched:?}: {total} > {cap}");
 }
 
 #[test]
 fn chaos_under_cfs() {
     for seed in [1, 7, 1234] {
-        run_chaos(SchedulerKind::Cfs, seed);
+        run_chaos(Sched::Cfs, seed);
     }
 }
 
 #[test]
 fn chaos_under_ule() {
     for seed in [1, 7, 1234] {
-        run_chaos(SchedulerKind::Ule, seed);
+        run_chaos(Sched::Ule, seed);
     }
 }
 
 #[test]
 fn chaos_is_deterministic_per_scheduler() {
-    let digest = |kind, seed| {
-        let mut sim = Simulation::new(Machine::Flat(4), kind, seed);
-        let spec = build_chaos(sim.kernel_mut(), 8, 80, 2);
-        sim.spawn_app(spec);
-        sim.run_to_completion(Dur::secs(120));
-        sim.kernel().decision_digest()
+    let digest = |sched, seed| {
+        let mut k = make_kernel(&Topology::flat(4), sched, seed, CheckMode::Off);
+        let spec = build_chaos(&mut k, 8, 80, 2);
+        k.queue_app(Time::ZERO, spec);
+        k.run_until_apps_done(Time::ZERO + Dur::secs(120));
+        k.decision_digest()
     };
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
-        assert_eq!(digest(kind, 99), digest(kind, 99));
+    for sched in Sched::BOTH {
+        assert_eq!(digest(sched, 99), digest(sched, 99));
     }
 }
