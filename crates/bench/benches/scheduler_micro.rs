@@ -256,6 +256,46 @@ fn bench_interactivity(c: &mut Criterion) {
     });
 }
 
+/// ULE's runqueues at the depths a CPU actually sees (1–4 queued tasks):
+/// push, walk in pick order (what the strict audit and `queued_tids_into`
+/// do) and pop, on the interactive FIFOs and the batch calendar. The
+/// occupancy bitmaps make every step O(queued) rather than O(levels).
+fn bench_ule_runq(c: &mut Criterion) {
+    use sched_api::Tid;
+    use ule::runq::{BatchRunq, PrioRunq};
+    let mut g = c.benchmark_group("ule_runq_ops");
+    for n in 1..=4u32 {
+        g.bench_function(format!("interactive_{n}"), |b| {
+            let mut q = PrioRunq::new(ule::params::INT_PRIO_LEVELS as usize);
+            b.iter(|| {
+                for i in 0..n {
+                    q.push((i * 13 % 48) as usize, Tid(i));
+                }
+                let mut acc: u32 = q.iter().map(|t| t.0).sum();
+                while let Some(t) = q.pop() {
+                    acc = acc.wrapping_add(t.0);
+                }
+                acc
+            })
+        });
+        g.bench_function(format!("batch_{n}"), |b| {
+            let mut q = BatchRunq::new();
+            b.iter(|| {
+                for i in 0..n {
+                    q.push((i * 17 % 64) as usize, Tid(i));
+                }
+                q.clock();
+                let mut acc: u32 = q.iter().map(|t| t.0).sum();
+                while let Some(t) = q.pop() {
+                    acc = acc.wrapping_add(t.0);
+                }
+                acc
+            })
+        });
+    }
+    g.finish();
+}
+
 /// A full simulated second of a busy 32-core machine under each scheduler:
 /// measures end-to-end simulator throughput (events/sec).
 fn bench_busy_second(c: &mut Criterion) {
@@ -351,6 +391,7 @@ criterion_group!(
     bench_scx_idle_tick_512c,
     bench_pelt,
     bench_interactivity,
+    bench_ule_runq,
     bench_busy_second,
     bench_placement,
     bench_rng

@@ -214,7 +214,7 @@ impl Cfs {
             }
             let w_moved = self.tent(tid).ent.weight;
             self.dequeue_task(tasks, src, tid, DequeueKind::Migrate, now);
-            tasks.get_mut(tid).cpu = dst;
+            tasks.migrate(tid, dst);
             self.enqueue_task(tasks, dst, tid, EnqueueKind::Migrate, now);
             moved += 1;
             moved_load += w_moved;

@@ -509,7 +509,7 @@ impl Scheduler for Eevdf {
             .map(|&(_, _, t)| t);
         let Some(tid) = stolen else { return false };
         self.remove_from_rq(victim_cpu, tid, now);
-        tasks.get_mut(tid).cpu = cpu;
+        tasks.migrate(tid, cpu);
         self.place(cpu, tid, true);
         let (v, d, w) = {
             let ent = self.ent(tid);

@@ -7,6 +7,11 @@
 //! milliseconds one real millisecond buys. The numbers feed `BENCH_sim.json`
 //! so perf regressions in the hot path (event queue, balance buffers,
 //! trace gating) show up as a drop between commits.
+//!
+//! One timed run is a few tens of milliseconds, short enough for host
+//! noise to swing it by a third, so each scheduler runs [`SAMPLES`] times
+//! and the report (and the regression gate) uses the median, with the
+//! minimum and the median absolute deviation beside it.
 
 use kernel::{cpu_hog, AppSpec, ThreadSpec};
 use metrics::LatencySummary;
@@ -15,20 +20,33 @@ use topology::Topology;
 
 use crate::{make_kernel, scope, RunCfg, Sched};
 
-/// Throughput of one scheduler's run.
+/// Timed runs per scheduler; the gate compares their median.
+pub const SAMPLES: usize = 7;
+
+/// Throughput of one scheduler over [`SAMPLES`] identical runs. The
+/// simulated outcome (events, switches, latencies) is the same in every
+/// run; only the wall-clock figures vary.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BenchResult {
     /// Scheduler name ("CFS"/"ULE").
     pub sched: String,
     /// Simulated span covered.
     pub sim_seconds: f64,
-    /// Wall-clock time it took.
+    /// Median wall-clock time of one run.
     pub wall_seconds: f64,
     /// Kernel events processed.
     pub events: u64,
-    /// Events per wall-clock second — the headline throughput number.
+    /// Median events per wall-clock second — the headline throughput
+    /// number and the one the regression gate compares.
     pub events_per_sec: f64,
-    /// Simulated ms bought per real ms (>1 means faster than real time).
+    /// Number of timed runs behind the median.
+    pub samples: usize,
+    /// Slowest run's events per second.
+    pub events_per_sec_min: f64,
+    /// Median absolute deviation of events per second across the runs.
+    pub events_per_sec_mad: f64,
+    /// Simulated ms bought per real ms at the median wall time (>1 means
+    /// faster than real time).
     pub sim_ms_per_real_ms: f64,
     /// Context switches simulated (work-volume sanity check).
     pub ctx_switches: u64,
@@ -76,29 +94,62 @@ fn sim_span(scale: f64) -> f64 {
     (4.0 * scale).clamp(0.25, 30.0)
 }
 
-/// Run the throughput benchmark under both schedulers, sequentially —
-/// parallel runs would contend for cores and corrupt the wall-clock
-/// numbers.
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Median absolute deviation of `xs` from their median.
+fn mad(xs: &[f64]) -> f64 {
+    let m = median(xs);
+    median(&xs.iter().map(|x| (x - m).abs()).collect::<Vec<_>>())
+}
+
+/// Run the throughput benchmark under both schedulers, [`SAMPLES`] timed
+/// times each after one warm-up run, sequentially — parallel runs would
+/// contend for cores and corrupt the wall-clock numbers.
 pub fn run(cfg: &RunCfg) -> BenchReport {
     let sim_secs = sim_span(cfg.scale);
     let mut results = Vec::new();
     for sched in Sched::BOTH {
-        let topo = Topology::opteron_6172();
-        let mut k = make_kernel(&topo, sched, cfg.seed, cfg.check);
-        let threads = (0..64)
-            .map(|i| ThreadSpec::new(format!("w{i}"), cpu_hog(Dur::secs(60), Dur::millis(3))))
-            .collect();
-        k.queue_app(Time::ZERO, AppSpec::new("busy", threads));
-        let start = std::time::Instant::now();
-        k.run_until(Time::ZERO + Dur::secs_f64(sim_secs));
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
+        let mut walls = Vec::with_capacity(SAMPLES);
+        let mut k = None;
+        // Run 0 is an untimed warm-up: it fills the caches and the
+        // allocator the timed runs then find warm.
+        for run in 0..=SAMPLES {
+            let topo = Topology::opteron_6172();
+            let mut kern = make_kernel(&topo, sched, cfg.seed, cfg.check);
+            let threads = (0..64)
+                .map(|i| ThreadSpec::new(format!("w{i}"), cpu_hog(Dur::secs(60), Dur::millis(3))))
+                .collect();
+            kern.queue_app(Time::ZERO, AppSpec::new("busy", threads));
+            let start = std::time::Instant::now();
+            kern.run_until(Time::ZERO + Dur::secs_f64(sim_secs));
+            if run > 0 {
+                walls.push(start.elapsed().as_secs_f64().max(1e-9));
+            }
+            k = Some(kern);
+        }
+        let k = k.expect("SAMPLES > 0");
         let events = k.counters().events;
+        let rates: Vec<f64> = walls.iter().map(|w| events as f64 / w).collect();
+        let wall = median(&walls);
         results.push(BenchResult {
             sched: sched.name().to_string(),
             sim_seconds: sim_secs,
             wall_seconds: wall,
             events,
-            events_per_sec: events as f64 / wall,
+            events_per_sec: median(&rates),
+            samples: SAMPLES,
+            events_per_sec_min: rates.iter().copied().fold(f64::INFINITY, f64::min),
+            events_per_sec_mad: mad(&rates),
             sim_ms_per_real_ms: sim_secs * 1e3 / (wall * 1e3),
             ctx_switches: k.counters().ctx_switches,
             max_runnable_wait_ms: k.counters().max_runnable_wait.as_secs_f64() * 1e3,
@@ -153,6 +204,8 @@ pub fn report(r: &BenchReport) -> String {
         "wall s",
         "events",
         "events/s",
+        "min",
+        "MAD",
         "sim-ms per real-ms",
         "max wait ms",
     ]);
@@ -163,11 +216,16 @@ pub fn report(r: &BenchReport) -> String {
             format!("{:.3}", b.wall_seconds),
             format!("{}", b.events),
             format!("{:.0}", b.events_per_sec),
+            format!("{:.0}", b.events_per_sec_min),
+            format!("{:.0}", b.events_per_sec_mad),
             format!("{:.1}", b.sim_ms_per_real_ms),
             format!("{:.2}", b.max_runnable_wait_ms),
         ]);
     }
-    let mut s = String::from("Simulator throughput (busy 32-core machine, 64 CPU hogs)\n");
+    let samples = r.results.first().map_or(0, |b| b.samples);
+    let mut s = format!(
+        "Simulator throughput (busy 32-core machine, 64 CPU hogs; median of {samples} runs)\n"
+    );
     s.push_str(&t.render());
     if !r.latency.is_empty() {
         let mut lt = metrics::Table::new(&[
@@ -224,8 +282,9 @@ pub enum Verdict {
     Fail,
 }
 
-/// Compare a fresh report against the committed `BENCH_sim.json` baseline
-/// text. Regressions beyond `warn_pct` warn; beyond `fail_pct` fail.
+/// Compare a fresh report's median events/s against the committed
+/// `BENCH_sim.json` baseline text. Regressions beyond `warn_pct` warn;
+/// beyond `fail_pct` fail.
 /// Speedups never fail (a faster simulator just moves the baseline).
 ///
 /// Wall-clock throughput is noisy across machines, so the gate is
@@ -290,6 +349,16 @@ mod tests {
             assert!(b.events_per_sec > 0.0);
             assert!(b.sim_ms_per_real_ms > 0.0);
         }
+    }
+
+    #[test]
+    fn median_and_mad() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        // One wild sample moves neither the median nor the MAD much.
+        let xs = [10.0, 11.0, 9.0, 10.0, 100.0, 10.0, 12.0];
+        assert_eq!(median(&xs), 10.0);
+        assert_eq!(mad(&xs), 1.0);
     }
 
     #[test]

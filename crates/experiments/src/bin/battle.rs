@@ -257,7 +257,7 @@ fn usage() -> String {
                   SchedGuard supervision campaign: control vs guarded vs budget-killed runs plus\n\
                   injected panic/livelock/runaway/cancel probes; every case classified, no job loss\n\
      golden:      battle golden [--write] — check (or record) the pinned decision digests\n\
-     bench gate:  battle bench --compare BENCH_sim.json — fail on >30 % events/sec regression"
+     bench gate:  battle bench --compare BENCH_sim.json — fail on >30 % median events/sec regression"
         .to_string()
 }
 
@@ -295,8 +295,8 @@ fn print_validation(name: &str, problems: Vec<String>) {
     }
 }
 
-/// `battle bench --compare`: diff a fresh report against the committed
-/// baseline. Warn-only within 30 %, hard-fail beyond. The warn prints a
+/// `battle bench --compare`: diff a fresh report's median events/s against
+/// the committed baseline. Warn-only within 30 %, hard-fail beyond. The warn prints a
 /// GitHub `::warning::` annotation so CI surfaces it without going red.
 fn bench_gate(baseline_path: &str, report: &bench::BenchReport) -> bool {
     let baseline = match std::fs::read_to_string(baseline_path) {
@@ -308,7 +308,9 @@ fn bench_gate(baseline_path: &str, report: &bench::BenchReport) -> bool {
     };
     match bench::compare(&baseline, report, 15.0, 30.0) {
         Ok((rows, verdict)) => {
-            println!("\nbench gate vs {baseline_path} (warn >15 %, fail >30 % slower):");
+            println!(
+                "\nbench gate vs {baseline_path} (median events/s; warn >15 %, fail >30 % slower):"
+            );
             for r in &rows {
                 println!(
                     "  {}: {:.0} -> {:.0} events/s ({:+.1} %)",

@@ -3,10 +3,9 @@
 //!
 //! The figure files are the only path `battle fig1/fig6/fig7` take, so
 //! their assertions are exercised here too. fig1 runs in every profile.
-//! fig6/fig7 cover tens of simulated seconds on 32 cores, where strict
-//! checking costs about a minute per file: they run with checks off and
-//! only in release (`cargo test --release`, which is what CI runs; CI's
-//! `battle run scenarios --check strict` sweep runs them strict).
+//! fig6/fig7 cover tens of simulated seconds on 32 cores: they run strict
+//! like every other file, but only in release (`cargo test --release`,
+//! which is what CI runs), because an unoptimised build takes minutes.
 
 use scenario::{EngineOpts, Scenario};
 
@@ -30,17 +29,12 @@ fn scenario_library_parses_and_passes_asserts() {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let src = std::fs::read_to_string(path).unwrap();
         let sc = Scenario::from_toml(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let is_heavy = heavy.contains(&name.as_str());
-        if is_heavy && cfg!(debug_assertions) {
+        if heavy.contains(&name.as_str()) && cfg!(debug_assertions) {
             continue;
         }
         let opts = EngineOpts {
             scale: 0.05,
-            check: if is_heavy {
-                kernel::CheckMode::Off
-            } else {
-                kernel::CheckMode::Strict
-            },
+            check: kernel::CheckMode::Strict,
             ..EngineOpts::default()
         };
         let mut runs = Vec::new();

@@ -11,9 +11,11 @@ pub enum CheckMode {
     /// No checking; zero overhead on the event loop.
     #[default]
     Off,
-    /// Run the full invariant catalog after every event: task
-    /// conservation, runqueue-count consistency, affinity, bounded
-    /// starvation, and the scheduler's own [`sched_api::Scheduler::audit`].
+    /// Check the invariant catalog after every event on the CPUs the
+    /// event touched, and over the whole machine in periodic full sweeps
+    /// (see [`crate::check`]): task conservation, runqueue-count
+    /// consistency, affinity, bounded starvation, and the scheduler's own
+    /// [`sched_api::Scheduler::audit`].
     Strict,
 }
 

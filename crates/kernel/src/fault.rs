@@ -134,6 +134,7 @@ impl Kernel {
         // the drain triggers already sees it as unavailable.
         self.cpus[victim.index()].online = false;
         self.online_mask.clear(victim);
+        self.touch(victim);
         self.sched.cpu_offline(victim);
         if self.trace_on {
             self.emit(TraceEvent::Hotplug {
@@ -149,7 +150,7 @@ impl Kernel {
         self.cpus[victim.index()].last_tid = None;
         self.cpus[victim.index()].resched_pending = false;
 
-        let mut orphans = std::mem::take(&mut self.check_tids);
+        let mut orphans = std::mem::take(&mut self.drain_tids);
         orphans.clear();
         self.sched.queued_tids_into(victim, &mut orphans);
         for &tid in &orphans {
@@ -180,14 +181,15 @@ impl Kernel {
                     at: self.now,
                 });
             }
-            self.tasks.get_mut(tid).cpu = target;
+            self.tasks.migrate(tid, target);
+            self.touch(target);
             self.sched
                 .enqueue_task(&mut self.tasks, target, tid, EnqueueKind::Migrate, self.now);
             self.counters.migrations += 1;
             self.events.push(self.now, Event::Resched(target));
         }
         orphans.clear();
-        self.check_tids = orphans;
+        self.drain_tids = orphans;
 
         self.events.push(
             self.now + self.cfg.faults.hotplug_down,
@@ -206,6 +208,7 @@ impl Kernel {
         self.counters.hotplug_events += 1;
         self.cpus[cpu.index()].online = true;
         self.online_mask.set(cpu);
+        self.touch(cpu);
         self.sched.cpu_online(cpu);
         if self.trace_on {
             self.emit(TraceEvent::Hotplug {

@@ -35,6 +35,7 @@ use topology::{CpuId, CpuMask, Topology};
 use crate::behavior::{
     Action, BarrierId, Behavior, Ctx, MutexId, PoolId, QueueId, SemId, ThreadSpec,
 };
+use crate::check::Dirty;
 use crate::config::{CheckMode, SimConfig};
 use crate::error::{BudgetKind, SimError};
 use crate::fault::FaultOp;
@@ -218,8 +219,8 @@ pub struct Kernel {
     pub(crate) trt: Vec<Option<TaskRt>>,
     pub(crate) cpus: Vec<Cpu>,
     /// Online CPUs as a bitset, mirroring the per-CPU `online` flags.
-    /// Hotplug victim selection and the sharded strict audits work on this
-    /// mask instead of scanning `cpus`.
+    /// Hotplug victim selection works on this mask instead of scanning
+    /// `cpus`.
     pub(crate) online_mask: CpuMask,
     pub(crate) sync: SyncTable,
     pub(crate) apps: Vec<AppStats>,
@@ -252,17 +253,16 @@ pub struct Kernel {
     balance_buf: Vec<CpuId>,
     /// Strict checking enabled? Cached from `cfg.check` so the disabled
     /// path is one predictable branch per event.
-    check_on: bool,
+    pub(crate) check_on: bool,
     /// Fault injection enabled? Cached from `cfg.faults.active()`.
     faults_on: bool,
     /// Dedicated RNG stream for fault injection, forked off the main seed
     /// so faulty runs replay bit-identically.
     pub(crate) fault_rng: SimRng,
-    /// Scratch buffers for the invariant checker (reused every event).
-    pub(crate) check_tids: Vec<Tid>,
-    pub(crate) check_seen: Vec<u8>,
-    /// Round-robin LLC cursor for sharded strict audits on large machines.
-    pub(crate) check_shard: usize,
+    /// Scratch buffer for the hotplug drain (reused every offline).
+    pub(crate) drain_tids: Vec<Tid>,
+    /// The strict checker's dirty set and per-CPU home counts.
+    pub(crate) dirty: Dirty,
     /// SchedGuard budget, copied out of the config. `budget_on` caches
     /// `budget.active()` so an absent budget costs one branch per event.
     budget: RunBudget,
@@ -288,6 +288,8 @@ impl Kernel {
         let budget = cfg.budget.clone();
         let budget_on = budget.active();
         let watch = Watch::new(cfg.watchdog_stall_events, cfg.watchdog_pingpong);
+        let mut tasks = TaskTable::new();
+        tasks.set_migration_log(check_on);
         Kernel {
             topo,
             cfg,
@@ -295,7 +297,7 @@ impl Kernel {
             events: EventQueue::new(),
             ticks: TickLane::new(ncpu),
             sched,
-            tasks: TaskTable::new(),
+            tasks,
             trt: Vec::new(),
             cpus: (0..ncpu).map(|_| Cpu::new()).collect(),
             online_mask: CpuMask::first_n(ncpu),
@@ -316,9 +318,8 @@ impl Kernel {
             check_on,
             faults_on,
             fault_rng,
-            check_tids: Vec::new(),
-            check_seen: Vec::new(),
-            check_shard: 0,
+            drain_tids: Vec::new(),
+            dirty: Dirty::new(if check_on { ncpu } else { 0 }),
             budget,
             budget_on,
             watch,
@@ -578,6 +579,9 @@ impl Kernel {
             }
             self.step(at, next)?;
         }
+        if self.check_on {
+            self.check_sweep()?;
+        }
         if until > self.now {
             self.now = until;
         }
@@ -606,10 +610,16 @@ impl Kernel {
                 break;
             };
             if at > limit {
+                if self.check_on {
+                    self.check_sweep()?;
+                }
                 self.now = limit;
                 return Ok(false);
             }
             self.step(at, next)?;
+        }
+        if self.check_on {
+            self.check_sweep()?;
         }
         Ok(self.live_apps == 0)
     }
@@ -668,7 +678,7 @@ impl Kernel {
             }
         }
         if self.check_on {
-            self.run_checks()?;
+            self.check_event()?;
         }
         Ok(())
     }
@@ -810,6 +820,7 @@ impl Kernel {
             return;
         }
         self.account_segment(cpu);
+        self.touch(cpu);
         if let Some(curr) = self.cpus[cpu.index()].current {
             if let Preempt::Yes(cause) = self.sched.task_tick(&mut self.tasks, cpu, curr, self.now)
             {
@@ -903,10 +914,11 @@ impl Kernel {
             self.pick_and_run(cpu)?;
         } else {
             // Preempted mid-spin: remove from the runqueue and sleep.
+            self.touch(cpu);
             self.sched
                 .dequeue_task(&mut self.tasks, cpu, tid, DequeueKind::Sleep, self.now);
+            self.set_state(tid, TaskState::Sleeping);
             let t = self.tasks.get_mut(tid);
-            t.state = TaskState::Sleeping;
             t.sleep_start = self.now;
             t.on_rq = false;
         }
@@ -1083,6 +1095,7 @@ impl Kernel {
             WakeKind::Wakeup { waker }
         };
         let mut stats = SelectStats::default();
+        self.touch(waking_cpu);
         let target = self
             .sched
             .select_task_rq(&self.tasks, tid, kind, waking_cpu, self.now, &mut stats)
@@ -1109,14 +1122,15 @@ impl Kernel {
 
         let t = self.tasks.get_mut(tid);
         t.cpu = target;
-        t.state = TaskState::Runnable;
         t.on_rq = true;
         t.last_wakeup = self.now;
+        self.set_state(tid, TaskState::Runnable);
         let ekind = if is_new {
             EnqueueKind::New
         } else {
             EnqueueKind::Wakeup
         };
+        self.touch(target);
         let preempt = self
             .sched
             .enqueue_task(&mut self.tasks, target, tid, ekind, self.now);
@@ -1305,9 +1319,9 @@ impl Kernel {
             Cont::Spin { .. } => {} // spin deadline is absolute; keep state
             _ => {}
         }
-        let t = self.tasks.get_mut(tid);
-        t.state = TaskState::Runnable;
-        t.last_ran = self.now;
+        self.set_state(tid, TaskState::Runnable);
+        self.tasks.get_mut(tid).last_ran = self.now;
+        self.touch(cpu);
         self.sched
             .put_prev_task(&mut self.tasks, cpu, tid, self.now);
         Ok(())
@@ -1320,10 +1334,11 @@ impl Kernel {
         self.account_segment(cpu);
         self.cancel_segment(cpu);
         self.cpus[cpu.index()].current = None;
+        self.touch(cpu);
         self.sched
             .dequeue_task(&mut self.tasks, cpu, tid, DequeueKind::Sleep, self.now);
+        self.set_state(tid, TaskState::Sleeping);
         let t = self.tasks.get_mut(tid);
-        t.state = TaskState::Sleeping;
         t.sleep_start = self.now;
         t.last_ran = self.now;
         t.on_rq = false;
@@ -1334,12 +1349,12 @@ impl Kernel {
         self.account_segment(cpu);
         self.cancel_segment(cpu);
         self.cpus[cpu.index()].current = None;
+        self.touch(cpu);
         self.sched
             .dequeue_task(&mut self.tasks, cpu, tid, DequeueKind::Dead, self.now);
         self.sched.task_dead(&self.tasks, tid, self.now);
-        let t = self.tasks.get_mut(tid);
-        t.state = TaskState::Dead;
-        t.on_rq = false;
+        self.set_state(tid, TaskState::Dead);
+        self.tasks.get_mut(tid).on_rq = false;
         if self.trace_on {
             self.emit(TraceEvent::Exit { at: self.now, tid });
         }
@@ -1368,6 +1383,7 @@ impl Kernel {
         if !self.cpus[cpu.index()].online {
             return Ok(()); // hotplugged out; nothing may run here
         }
+        self.touch(cpu);
         let mut spins = 0u32;
         loop {
             // The event-level stall watchdog cannot see a pick loop that
@@ -1429,7 +1445,6 @@ impl Kernel {
                     t.last_wakeup
                 };
                 let wait = self.now.saturating_since(waited_since);
-                t.state = TaskState::Running;
                 t.last_cpu = cpu;
                 if wait > self.counters.max_runnable_wait {
                     self.counters.max_runnable_wait = wait;
@@ -1442,6 +1457,7 @@ impl Kernel {
                     self.app_run_delay[rt.app.0 as usize].record(wait);
                 }
             }
+            self.set_state(tid, TaskState::Running);
             let c = &mut self.cpus[cpu.index()];
             c.current = Some(tid);
             c.last_tid = Some(tid);
@@ -1702,9 +1718,9 @@ impl Kernel {
                     self.account_segment(cpu);
                     self.cancel_segment(cpu);
                     self.cpus[cpu.index()].current = None;
-                    let t = self.tasks.get_mut(tid);
-                    t.state = TaskState::Runnable;
-                    t.last_ran = self.now;
+                    self.set_state(tid, TaskState::Runnable);
+                    self.tasks.get_mut(tid).last_ran = self.now;
+                    self.touch(cpu);
                     self.sched.yield_task(&mut self.tasks, cpu, self.now);
                     return Ok(InterpretEnd::NeedsPick);
                 }

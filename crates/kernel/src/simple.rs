@@ -204,7 +204,7 @@ impl Scheduler for SimpleRR {
             .position(|&t| tasks.get(t).allowed_on(cpu));
         let Some(pos) = pos else { return false };
         let tid = self.rqs[victim].queue.remove(pos).expect("present");
-        tasks.get_mut(tid).cpu = cpu;
+        tasks.migrate(tid, cpu);
         self.rq(cpu).queue.push_back(tid);
         true
     }

@@ -30,5 +30,5 @@ pub use sched::{
     DequeueKind, EnqueueKind, Preempt, PreemptCause, Scheduler, SelectError, SelectStats,
     TaskSnapshot, WakeKind,
 };
-pub use task::{Task, TaskState, TaskTable};
+pub use task::{Migration, Task, TaskState, TaskTable};
 pub use topology::{CpuMask, MAX_CPUS};

@@ -296,8 +296,10 @@ pub trait Scheduler {
     fn snapshot(&self, tasks: &TaskTable, tid: Tid) -> TaskSnapshot;
 
     /// Self-audit of the class's internal state for `cpu`, called by the
-    /// SchedSan invariant checker after every event when strict checking
-    /// is on. Implementations verify their class-specific invariants (CFS:
+    /// SchedSan invariant checker when strict checking is on: after every
+    /// event for each CPU the event handed to a hook or moved a task
+    /// onto or off (see [`TaskTable::migrate`]), and for every CPU in the
+    /// periodic full sweep. Implementations verify their class-specific invariants (CFS:
     /// `min_vruntime` monotonicity, tree/accounting consistency; ULE:
     /// priority-range validity, priority-multiset consistency) and return
     /// a description of the first violation found. Takes `&mut self` so an

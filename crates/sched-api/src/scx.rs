@@ -473,7 +473,7 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         self.sync(victim.index());
         self.sync(cpu.index());
         *self.slot_mut(tid) = Some(Slot { cpu, key, seq });
-        tasks.get_mut(tid).cpu = cpu;
+        tasks.migrate(tid, cpu);
         true
     }
 
@@ -498,6 +498,13 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         }
     }
 
+    /// Per-CPU checks of `cpu`'s queue, slots and view entry, plus two
+    /// framework-wide ones. The bad-pick latch is taken by whichever
+    /// audit runs first after the pick; the placement's target CPU is
+    /// always checked in that event, so the pick is reported at the event
+    /// that made it. The O(cores) recount of non-empty queues runs only
+    /// when `cpu` is CPU 0: under the kernel's dirty-set checking that is
+    /// every event that touches CPU 0, and every full sweep.
     fn audit(&mut self, tasks: &TaskTable, cpu: CpuId, _now: Time) -> Result<(), String> {
         if let Some((tid, bad)) = self.bad_pick.take() {
             return Err(format!(
@@ -512,7 +519,8 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
                 self.cpu_view[cpu.index()]
             ));
         }
-        // The recount is O(cores); doing it for one CPU keeps a sweep O(N).
+        // The recount is O(cores); doing it for one CPU keeps a full sweep
+        // O(N) and leaves events that do not touch CPU 0 without it.
         if cpu.index() == 0 {
             let recount = self.qs.iter().filter(|q| !q.is_empty()).count();
             if self.nonempty != recount {

@@ -121,12 +121,29 @@ impl Task {
     }
 }
 
+/// One scheduler-internal move recorded by [`TaskTable::migrate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Migration {
+    /// The task that moved.
+    pub tid: Tid,
+    /// Its `cpu` before the move.
+    pub src: CpuId,
+    /// Its `cpu` after the move.
+    pub dst: CpuId,
+}
+
 /// Slab of tasks indexed by [`Tid`]. Slots of dead tasks are reused.
 #[derive(Debug, Default)]
 pub struct TaskTable {
     slots: Vec<Option<Task>>,
     free: Vec<u32>,
     live: usize,
+    /// Moves made through [`TaskTable::migrate`] since the last
+    /// [`TaskTable::drain_migrations`]; recorded only while
+    /// `log_migrations` is set (the kernel's strict checking), so
+    /// unchecked runs keep no log.
+    migrations: Vec<Migration>,
+    log_migrations: bool,
 }
 
 impl TaskTable {
@@ -210,6 +227,31 @@ impl TaskTable {
     pub fn slab_len(&self) -> usize {
         self.slots.len()
     }
+
+    /// Move a queued task's home to `dst`: the one way a scheduler
+    /// rehomes a task (load balancing, idle stealing). The caller has
+    /// already taken it off the source runqueue and puts it on `dst`'s.
+    /// With logging on, the move is recorded so the kernel's invariant
+    /// checker audits both CPUs and keeps its per-CPU task counts exact.
+    pub fn migrate(&mut self, tid: Tid, dst: CpuId) {
+        let t = self.get_mut(tid);
+        let src = std::mem::replace(&mut t.cpu, dst);
+        if self.log_migrations {
+            self.migrations.push(Migration { tid, src, dst });
+        }
+    }
+
+    /// Turn recording of [`TaskTable::migrate`] moves on or off.
+    pub fn set_migration_log(&mut self, on: bool) {
+        self.log_migrations = on;
+        self.migrations.clear();
+    }
+
+    /// Take the moves recorded since the last drain, oldest first, leaving
+    /// the (reused) log empty.
+    pub fn drain_migrations(&mut self) -> std::vec::Drain<'_, Migration> {
+        self.migrations.drain(..)
+    }
 }
 
 #[cfg(test)]
@@ -260,6 +302,27 @@ mod tests {
         t.get_mut(a).affinity = Some(CpuMask::single(CpuId(0)));
         assert!(t.get(a).allowed_on(CpuId(0)));
         assert!(!t.get(a).allowed_on(CpuId(5)));
+    }
+
+    #[test]
+    fn migrate_moves_and_logs_only_when_asked() {
+        let mut t = TaskTable::new();
+        let a = mk(&mut t, "a");
+        t.migrate(a, CpuId(3));
+        assert_eq!(t.get(a).cpu, CpuId(3));
+        assert_eq!(t.drain_migrations().count(), 0, "logging is off by default");
+        t.set_migration_log(true);
+        t.migrate(a, CpuId(1));
+        let log: Vec<_> = t.drain_migrations().collect();
+        assert_eq!(
+            log,
+            vec![Migration {
+                tid: a,
+                src: CpuId(3),
+                dst: CpuId(1)
+            }]
+        );
+        assert_eq!(t.drain_migrations().count(), 0, "drained");
     }
 
     #[test]

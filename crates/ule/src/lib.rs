@@ -85,10 +85,12 @@ const PRIO_WORDS: usize = PRIO_SLOTS.div_ceil(64);
 /// backing store). Flat per-priority counts plus a presence bitmap: the
 /// hot probes — `add`/`remove` on every enqueue/dequeue and `min` on
 /// every placement scan — are an array bump and a couple of
-/// `trailing_zeros` words instead of BTreeMap rebalancing walks.
+/// `trailing_zeros` words instead of BTreeMap rebalancing walks. A
+/// running total keeps the strict-mode audit from summing every slot.
 struct PrioSet {
     counts: [u32; PRIO_SLOTS],
     bits: [u64; PRIO_WORDS],
+    total: u64,
 }
 
 impl PrioSet {
@@ -96,6 +98,7 @@ impl PrioSet {
         PrioSet {
             counts: [0; PRIO_SLOTS],
             bits: [0; PRIO_WORDS],
+            total: 0,
         }
     }
 
@@ -107,6 +110,7 @@ impl PrioSet {
         let p = p as usize;
         self.counts[p] += 1;
         self.bits[p / 64] |= 1 << (p % 64);
+        self.total += 1;
     }
 
     fn remove(&mut self, p: i32) {
@@ -120,8 +124,12 @@ impl PrioSet {
             1 => {
                 self.counts[p] = 0;
                 self.bits[p / 64] &= !(1 << (p % 64));
+                self.total -= 1;
             }
-            ref mut c => *c -= 1,
+            ref mut c => {
+                *c -= 1;
+                self.total -= 1;
+            }
         }
     }
 
@@ -142,7 +150,7 @@ impl PrioSet {
 
     /// Total threads tracked across all priorities.
     fn total(&self) -> u64 {
-        self.counts.iter().map(|&c| u64::from(c)).sum()
+        self.total
     }
 
     /// Priorities currently present, ascending.
@@ -360,7 +368,7 @@ impl Ule {
         if self.tdqs[victim.index()].load == 0 {
             self.active.clear(victim);
         }
-        tasks.get_mut(tid).cpu = thief;
+        tasks.migrate(tid, thief);
         self.enqueue_task(tasks, thief, tid, EnqueueKind::Migrate, now);
         true
     }
@@ -801,6 +809,10 @@ impl Scheduler for Ule {
                 return Err(format!("tracked priority {p} out of range"));
             }
         }
+        tdq.interactive
+            .check()
+            .map_err(|e| format!("interactive runq: {e}"))?;
+        tdq.batch.check().map_err(|e| format!("batch runq: {e}"))?;
         for t in tdq.interactive.iter() {
             match self.ts(t).queued_prio {
                 Some(p) if Self::is_interactive_prio(p) => {}
